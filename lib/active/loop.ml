@@ -111,7 +111,7 @@ let run ?(config = default_config) ~(sim : Sim.t) ~(prior0 : Prior.t) () =
     && (config.budget <= 0 || !simulated + k <= config.budget)
   in
   while continue_ () do
-    let t0 = Sys.time () in
+    let t0 = Unix.gettimeofday () in
     let round = !r in
     let xs = sim.Sim.candidates ~round ~n:config.pool_size in
     let rows = Array.map sim.Sim.basis_row xs in
@@ -154,7 +154,7 @@ let run ?(config = default_config) ~(sim : Sim.t) ~(prior0 : Prior.t) () =
         max_score;
         nlml = Update.nlml !upd;
         resync;
-        seconds = Sys.time () -. t0;
+        seconds = Unix.gettimeofday () -. t0;
       }
       :: !logs;
     take_checkpoint ();

@@ -11,7 +11,7 @@ type t = {
   sigma0 : float;
   inv_s2 : float;
   log_det_a : float;
-  p_chol : Chol.t;
+  p_chol : Chol.Updatable.t;
   c : Vec.t;
   mutable yty : float;
   mutable nk : int;
@@ -20,8 +20,8 @@ type t = {
       (* (μ_w, μ as M×K, nlml) under the current factorization;
          invalidated by every append *)
   v_buf : Vec.t;
-      (* aK scratch for the rank-one vector ([Chol.rank1_update]
-         destroys its argument) *)
+      (* aK scratch for the rank-one vector (the update destroys its
+         argument) *)
 }
 
 let create (d : Dataset.t) (prior : Prior.t) ~active =
@@ -46,7 +46,8 @@ let create (d : Dataset.t) (prior : Prior.t) ~active =
     sigma0;
     inv_s2 = 1.0 /. (sigma0 *. sigma0);
     log_det_a = sys.Posterior.log_det_a;
-    p_chol = Chol.factorize_with_retry sys.Posterior.p_mat;
+    p_chol =
+      Chol.Updatable.of_chol (Chol.factorize_with_retry sys.Posterior.p_mat);
     c = sys.Posterior.rhs;
     yty = sys.Posterior.yty;
     nk = sys.Posterior.sys_nk;
@@ -72,12 +73,14 @@ let append t ~state ~row ~y =
     invalid_arg "Update.append: basis row length mismatch";
   (* P ← P + σ0⁻²·b̃b̃ᵀ is the classic Cholesky rank-one update with
      v = b̃/σ0, where b̃ embeds the active slice of the basis row in
-     state [state]'s block — O((aK)²), no refactorization. *)
+     state [state]'s block — no refactorization.  The blocks of the
+     states before [state] are zero and the update starts past them:
+     O((aK − state·a)²). *)
   let v = t.v_buf in
   Array.fill v 0 t.ak 0.0;
   let off = state * t.a in
   Array.iteri (fun j col -> v.(off + j) <- row.(col) /. t.sigma0) t.active;
-  Chol.rank1_update t.p_chol v;
+  Chol.Updatable.rank1_update t.p_chol v;
   (* c ← c + y·b̃, ‖y‖² and NK grow by the sample. *)
   if y <> 0.0 then
     Array.iteri
@@ -101,7 +104,7 @@ let refresh t =
   match t.sol with
   | Some s -> s
   | None ->
-      let mu_w = Chol.solve_vec t.p_chol t.c in
+      let mu_w = Chol.Updatable.solve_vec t.p_chol t.c in
       for i = 0 to t.ak - 1 do
         mu_w.(i) <- t.inv_s2 *. mu_w.(i)
       done;
@@ -115,7 +118,7 @@ let refresh t =
       let y_ginv_y = t.inv_s2 *. (t.yty -. Vec.dot t.c mu_w) in
       let log_det_g =
         (2.0 *. float_of_int t.nk *. log t.sigma0)
-        +. t.log_det_a +. Chol.log_det t.p_chol
+        +. t.log_det_a +. Chol.Updatable.log_det t.p_chol
       in
       let nlml = y_ginv_y +. log_det_g in
       let s = (mu_w, mu, nlml) in
@@ -141,7 +144,7 @@ let variance t ~state (b : Vec.t) =
     invalid_arg "Update.variance: basis row length mismatch";
   let u = Array.make t.ak 0.0 in
   Array.iteri (fun j col -> u.((state * t.a) + j) <- b.(col)) t.active;
-  Float.max (Chol.quad_inv t.p_chol u) 0.0
+  Float.max (Chol.Updatable.quad_inv t.p_chol u) 0.0
 
 let predictive t ~state (b : Vec.t) =
   let _, mu, _ = refresh t in

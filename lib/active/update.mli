@@ -5,8 +5,10 @@
     per sample.  This module keeps the aK×aK Cholesky factor of
     P = A⁻¹ + σ0⁻²·DᵀD alive instead: a new sample (state s, basis row
     b, response y) adds σ0⁻²·b̃b̃ᵀ to P (b̃ = b's active slice embedded
-    in state s's block), which is one {!Cbmf_linalg.Chol.rank1_update}
-    — O((aK)²) — plus O(a) bookkeeping on c = Dᵀy, ‖y‖² and NK.  The
+    in state s's block), which is one
+    {!Cbmf_linalg.Chol.Updatable.rank1_update} — O((aK)²), and only
+    O((aK − s·a)²) since the update skips the zero blocks of the states
+    before s — plus O(a) bookkeeping on c = Dᵀy, ‖y‖² and NK.  The
     posterior mean, predictive variance and NLML all read off the
     updated factor in O((aK)²), so the per-sample cost is o(full
     refit) by a factor of aK.

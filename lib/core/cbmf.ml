@@ -59,7 +59,7 @@ type model = {
 }
 
 let fit ?(config = default_config) ?init_hypers (d : Dataset.t) =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let transform, std = Standardize.fit d in
   (* A warm start skips the initializer's (r0, σ0, θ) grid search
      entirely: the supplied hyper-parameters (standardized space) are
@@ -128,7 +128,7 @@ let fit ?(config = default_config) ?init_hypers (d : Dataset.t) =
       final_active = Array.length post.Posterior.active;
       final_sigma0 = prior.Prior.sigma0;
       final_r = Mat.copy prior.Prior.r;
-      fit_seconds = Sys.time () -. t0;
+      fit_seconds = Unix.gettimeofday () -. t0;
     }
   in
   let view =

@@ -38,7 +38,7 @@ type info = {
   final_active : int;  (** basis functions surviving EM pruning *)
   final_sigma0 : float;  (** standardized units *)
   final_r : Mat.t;  (** K×K learned correlation *)
-  fit_seconds : float;  (** CPU time of the whole fit *)
+  fit_seconds : float;  (** wall-clock time of the whole fit *)
 }
 
 type fitted = {

@@ -28,10 +28,13 @@ type result = {
 }
 
 (* Per-slot scratch shared by every grid cell a worker processes: the
-   NK-sized update vector and flat response are grabbed once per pass
-   and reused across cells (NK is fold-invariant, so after the first
-   cell per slot these cost nothing). *)
+   NK×NK factor of G, the NK-sized update vector and the flat response
+   are grabbed once per pass and reused across cells (NK is
+   fold-invariant, so after the first cell per slot these cost
+   nothing). *)
 let cell_arena = Cbmf_parallel.Arena.create ()
+
+let id_chol_g = Cbmf_parallel.Arena.fresh_id ()
 
 let id_rank1_u = Cbmf_parallel.Arena.fresh_id ()
 
@@ -40,18 +43,24 @@ let id_flat_y = Cbmf_parallel.Arena.fresh_id ()
 (* One incremental greedy pass.  G starts at σ0²·I and grows by the
    rank-K contribution E_s·R·E_sᵀ = Σ_j (E_s·L_R·e_j)(…)ᵀ of each
    selected basis s (λ = 1), maintained as rank-1 Cholesky updates.
-   [r_chol] is the pair (R(r0), lower Cholesky factor of R) — invariant
-   across σ0 and folds, so {!run} factorizes it once per r0 instead of
-   once per grid cell. *)
-let greedy_pass_pre ~r_chol:(r, l_r) ~(train : Dataset.t) ~test ~sigma0
-    ~theta_max =
+   Column j of L_R is zero above state j, so the j-th update vector is
+   zero on the first j·n entries and the updatable factor skips them:
+   the K updates of a step cost Σ_j (n(K−j))²/2 ≈ n²K³/6 instead of
+   K·(nK)²/2.  [r_chol] is the pair (R(r0), lower Cholesky factor of
+   R) — invariant across σ0 and folds, so {!run} factorizes it once per
+   r0 instead of once per grid cell.  [g_buf] (length NK², overwritten)
+   holds the factor; the grid cells pass per-slot scratch. *)
+let greedy_pass_pre ~g_buf ~r_chol:(r, l_r) ~(train : Dataset.t) ~test
+    ~sigma0 ~theta_max =
   let k = train.Dataset.n_states
   and n = train.Dataset.n_samples
   and m = train.Dataset.n_basis in
   let nk = k * n in
   let theta_max = Stdlib.min theta_max (Stdlib.min (nk - 1) m) in
   assert (theta_max >= 1);
-  let chol_g = Chol.of_scaled_identity nk (sigma0 *. sigma0) in
+  let chol_g =
+    Chol.Updatable.scaled_identity_into g_buf nk (sigma0 *. sigma0)
+  in
   let y = Cbmf_parallel.Arena.grab cell_arena id_flat_y nk in
   for s = 0 to k - 1 do
     Array.blit train.Dataset.response.(s) 0 y (s * n) n
@@ -84,10 +93,10 @@ let greedy_pass_pre ~r_chol:(r, l_r) ~(train : Dataset.t) ~test ~sigma0
              done
            end
          done;
-         Chol.rank1_update chol_g u
+         Chol.Updatable.rank1_update chol_g u
        done;
        (* Bayesian coefficients on the current support (λ = 1). *)
-       let z = Chol.solve_vec chol_g y in
+       let z = Chol.Updatable.solve_vec chol_g y in
        let sup = Array.of_list (List.rev !support) in
        let a = Array.length sup in
        let mu = Mat.create a k in
@@ -155,7 +164,11 @@ let greedy_pass_pre ~r_chol:(r, l_r) ~(train : Dataset.t) ~test ~sigma0
 let greedy_pass ~(train : Dataset.t) ~test ~r0 ~sigma0 ~theta_max =
   let r = Prior.r_of_r0 ~n_states:train.Dataset.n_states ~r0 in
   let l_r = Chol.lower (Chol.factorize_with_retry r) in
-  greedy_pass_pre ~r_chol:(r, l_r) ~train ~test ~sigma0 ~theta_max
+  (* One pass, typically on the full dataset after the grid: a
+     transient factor, not one kept alive in the slot's scratch. *)
+  let nk = train.Dataset.n_states * train.Dataset.n_samples in
+  greedy_pass_pre ~g_buf:(Array.make (nk * nk) 0.0) ~r_chol:(r, l_r) ~train
+    ~test ~sigma0 ~theta_max
 
 let run ?(config = default_config) (d : Dataset.t) =
   assert (Array.length config.r0_grid > 0);
@@ -203,9 +216,12 @@ let run ?(config = default_config) (d : Dataset.t) =
         let s0_i = rest / config.n_folds
         and fold = rest mod config.n_folds in
         let train, test = folds.(fold) in
+        let nk = train.Dataset.n_states * train.Dataset.n_samples in
+        let g_buf = Cbmf_parallel.Arena.grab cell_arena id_chol_g (nk * nk) in
         let _, errs =
-          greedy_pass_pre ~r_chol:r_chols.(r0_i) ~train ~test:(Some test)
-            ~sigma0:config.sigma0_grid.(s0_i) ~theta_max:config.theta_max
+          greedy_pass_pre ~g_buf ~r_chol:r_chols.(r0_i) ~train
+            ~test:(Some test) ~sigma0:config.sigma0_grid.(s0_i)
+            ~theta_max:config.theta_max
         in
         errs)
   in

@@ -689,8 +689,9 @@ let coefficients t = Mat.transpose t.mu
 (* --- Primal-system hook for streaming rank-one updates --------------
    The active-learning updater ([Cbmf_active.Update]) keeps the aK×aK
    Cholesky of P alive across appended samples, growing it via
-   [Chol.rank1_update] instead of refitting.  It seeds itself from the
-   exact same assembly [compute_primal] uses (shared helpers above), so
+   [Chol.Updatable.rank1_update] instead of refitting.  It seeds itself
+   from the exact same assembly [compute_primal] uses (shared helpers
+   above), so
    an updated factorization and a from-scratch primal solve agree to
    factorization round-off. *)
 

@@ -13,9 +13,9 @@ let run (data : Workload.data) ~poi ~n_per_state =
   let test = Workload.test_dataset data ~poi in
   let train = Workload.train_dataset data ~poi ~n_per_state in
   let time f =
-    let t0 = Sys.time () in
+    let t0 = Unix.gettimeofday () in
     let r = f () in
-    (r, Sys.time () -. t0)
+    (r, Unix.gettimeofday () -. t0)
   in
   let cbmf label config =
     let model, seconds = time (fun () -> Cbmf_core.Cbmf.fit ~config train) in

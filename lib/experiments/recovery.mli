@@ -30,7 +30,7 @@ type cell = {
   coeff_rmse : float;  (** entry-wise RMSE vs the planted K×M α *)
   test_error : float;  (** pooled relative RMS on held-out data *)
   path : string;  (** posterior path at this shape: "dual"/"primal"; "-" for S-OMP *)
-  seconds : float;  (** CPU time of the fit *)
+  seconds : float;  (** wall-clock time of the fit *)
 }
 
 val cbmf_config : Synthetic.spec -> Cbmf_core.Cbmf.config

@@ -31,7 +31,7 @@ let run ?(cbmf_config = Cbmf_core.Cbmf.default_config)
         let train = Workload.train_dataset data ~poi ~n_per_state:n in
         let terms = Array.of_list (List.filter (fun t -> t < n) (Array.to_list somp_terms)) in
         let terms = if Array.length terms = 0 then [| Stdlib.max 1 (n - 1) |] else terms in
-        (* Wall clock, not Sys.time: CPU time pools across domains. *)
+        (* Wall clock, like [fit_seconds]: CPU time pools across domains. *)
         let t0 = Unix.gettimeofday () in
         let somp, somp_theta = Somp.fit_cv train ~n_folds:4 ~candidate_terms:terms in
         let somp_seconds = Unix.gettimeofday () -. t0 in

@@ -309,6 +309,129 @@ let of_scaled_identity n c =
   done;
   { n; l; jitter = 0.0 }
 
+(* --- Updatable factor ------------------------------------------------
+   The same lower factor, stored column-major (L[i,j] at j·n + i) so the
+   rank-one update's inner loop — which walks one column below the
+   pivot — reads and writes contiguous memory instead of one cache line
+   per element.
+
+   Bit-identity with {!rank1_update}: every update below performs the
+   same float operations in the same order on the same values; the
+   layout only changes where they live.  The one skipped piece of work
+   is the zero prefix of v: a rotation with v_j = 0 has r = √(l_jj²) =
+   l_jj exactly (IEEE square roots of squares are exact away from
+   overflow and underflow), so c = 1, s = 0, and it rewrites every
+   entry of the column and of v with its own value — an identity. *)
+type chol = t
+
+module Updatable = struct
+  type t = { n : int; l : float array (* column-major, full n×n *) }
+
+  let scaled_identity_into l n c =
+    assert (n > 0 && c > 0.0 && Array.length l = n * n);
+    Array.fill l 0 (n * n) 0.0;
+    let d = sqrt c in
+    for i = 0 to n - 1 do
+      l.((i * n) + i) <- d
+    done;
+    { n; l }
+
+  let of_chol (f : chol) =
+    let n = f.n in
+    let l = Array.make (n * n) 0.0 in
+    for j = 0 to n - 1 do
+      for i = j to n - 1 do
+        l.((j * n) + i) <- f.l.((i * n) + j)
+      done
+    done;
+    { n; l }
+
+  let lower t =
+    Mat.init t.n t.n (fun i j -> if j <= i then t.l.((j * t.n) + i) else 0.0)
+
+  (* Index of the first nonzero entry of [v], [n] when all are zero. *)
+  let first_nonzero v n =
+    let p = ref 0 in
+    while !p < n && Array.unsafe_get v !p = 0.0 do
+      incr p
+    done;
+    !p
+
+  let rank1_update t (v : Vec.t) =
+    let n = t.n and l = t.l in
+    assert (Array.length v = n);
+    for j = first_nonzero v n to n - 1 do
+      let col = j * n in
+      let ljj = Array.unsafe_get l (col + j) in
+      let vj = Array.unsafe_get v j in
+      let r = sqrt ((ljj *. ljj) +. (vj *. vj)) in
+      let c = r /. ljj in
+      let s = vj /. ljj in
+      Array.unsafe_set l (col + j) r;
+      for i = j + 1 to n - 1 do
+        let lij =
+          (Array.unsafe_get l (col + i) +. (s *. Array.unsafe_get v i)) /. c
+        in
+        Array.unsafe_set l (col + i) lij;
+        Array.unsafe_set v i ((c *. Array.unsafe_get v i) -. (s *. lij))
+      done
+    done
+
+  (* Forward substitution in column (axpy) order: entry i still sees
+     b_i − l_i0·z_0 − … − l_i,i−1·z_{i−1}, then ÷ l_ii — the row dot
+     product's exact operation sequence. *)
+  let forward_inplace t x ~from =
+    let n = t.n and l = t.l in
+    for k = from to n - 1 do
+      let col = k * n in
+      let xk = Array.unsafe_get x k /. Array.unsafe_get l (col + k) in
+      Array.unsafe_set x k xk;
+      for i = k + 1 to n - 1 do
+        Array.unsafe_set x i
+          (Array.unsafe_get x i -. (Array.unsafe_get l (col + i) *. xk))
+      done
+    done
+
+  let solve_vec t (b : Vec.t) =
+    let n = t.n and l = t.l in
+    assert (Array.length b = n);
+    let x = Array.copy b in
+    forward_inplace t x ~from:0;
+    (* Lᵀx = z: row i of Lᵀ is column i of L, contiguous here. *)
+    for i = n - 1 downto 0 do
+      let col = i * n in
+      let s = ref (Array.unsafe_get x i) in
+      for k = i + 1 to n - 1 do
+        s := !s -. (Array.unsafe_get l (col + k) *. Array.unsafe_get x k)
+      done;
+      Array.unsafe_set x i (!s /. Array.unsafe_get l (col + i))
+    done;
+    x
+
+  (* bᵀa⁻¹b = ‖L⁻¹b‖².  Above b's first nonzero p the solution is
+     zero, and those zeros subtract nothing from the rows below, so the
+     solve and the sum of squares both start at p. *)
+  let quad_inv t (b : Vec.t) =
+    let n = t.n in
+    assert (Array.length b = n);
+    let p = first_nonzero b n in
+    let z = Array.copy b in
+    forward_inplace t z ~from:p;
+    let acc = ref 0.0 in
+    for i = p to n - 1 do
+      let zi = Array.unsafe_get z i in
+      acc := !acc +. (zi *. zi)
+    done;
+    !acc
+
+  let log_det t =
+    let acc = ref 0.0 in
+    for i = 0 to t.n - 1 do
+      acc := !acc +. log t.l.((i * t.n) + i)
+    done;
+    2.0 *. !acc
+end
+
 let is_positive_definite a =
   match factorize a with
   | _ -> true

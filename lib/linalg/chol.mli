@@ -88,7 +88,8 @@ val sample_transform : t -> Vec.t -> Vec.t
 val rank1_update : t -> Vec.t -> unit
 (** [rank1_update f v] updates the factorization in place so that it
     factors [a + v·vᵀ] (classic "cholupdate", O(n²)).  [v] is
-    destroyed. *)
+    destroyed.  The reference kernel: production update sequences run
+    on {!Updatable}, which is bit-identical to it. *)
 
 val copy : t -> t
 (** Independent copy of the factorization (for snapshot/rollback
@@ -97,6 +98,53 @@ val copy : t -> t
 val of_scaled_identity : int -> float -> t
 (** Factorization of [c·I] ([c > 0]) without building the matrix —
     the natural seed for incremental rank-1 construction. *)
+
+(** A lower Cholesky factor built for long sequences of rank-one
+    updates.
+
+    The factor is stored column-major, so the update's column sweep and
+    the transposed back substitution read contiguous memory.  Updates
+    start at the first nonzero of the update vector: a rotation against
+    a zero entry is exactly the identity, so skipping it changes no bit.
+    For a block-structured vector whose leading blocks are zero (the
+    greedy initializer's E_s·L_R·e_j, an active-learning sample's
+    state-embedded row) that removes most of the work.
+
+    Every operation is bit-identical to its {!Chol} counterpart on the
+    same factor — {!rank1_update}, {!solve_vec}, {!quad_inv},
+    {!log_det} — for finite inputs and factors without negative-zero
+    entries (which updates from a positive start do not create). *)
+module Updatable : sig
+  type chol := t
+
+  type t
+
+  val scaled_identity_into : float array -> int -> float -> t
+  (** [scaled_identity_into buf n c] is the factor of [c·I] ([c > 0])
+      stored in [buf] (length [n·n], overwritten) — a caller can keep
+      the n² buffer in per-worker scratch and reset it for each new
+      factor.  The factor owns [buf] until the caller reuses it. *)
+
+  val of_chol : chol -> t
+  (** Copy of an existing factorization, in the updatable layout. *)
+
+  val lower : t -> Mat.t
+  (** The lower-triangular factor (fresh copy). *)
+
+  val rank1_update : t -> Vec.t -> unit
+  (** Factor [a + v·vᵀ] in place, O((n − p)²) where [p] is the index of
+      the first nonzero of [v].  [v] is destroyed. *)
+
+  val solve_vec : t -> Vec.t -> Vec.t
+  (** [a x = b]. *)
+
+  val quad_inv : t -> Vec.t -> float
+  (** [bᵀ a⁻¹ b], O((n − p)²) where [p] is the index of the first
+      nonzero of [b]. *)
+
+  val log_det : t -> float
+  (** [log det a]. *)
+end
 
 val is_positive_definite : Mat.t -> bool
 (** Whether symmetric [a] admits a Cholesky factorization. *)

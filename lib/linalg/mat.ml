@@ -704,9 +704,9 @@ let mat_vec a x =
   done;
   y
 
-let mat_tvec a x =
-  assert (a.rows = Array.length x);
-  let y = Array.make a.cols 0.0 in
+let mat_tvec_into a x y =
+  assert (a.rows = Array.length x && a.cols = Array.length y);
+  Array.fill y 0 a.cols 0.0;
   let ad = a.data in
   for i = 0 to a.rows - 1 do
     let arow = i * a.cols in
@@ -716,7 +716,11 @@ let mat_tvec a x =
         Array.unsafe_set y j
           (Array.unsafe_get y j +. (xi *. Array.unsafe_get ad (arow + j)))
       done
-  done;
+  done
+
+let mat_tvec a x =
+  let y = Array.make a.cols 0.0 in
+  mat_tvec_into a x y;
   y
 
 let gram a = syrk_tn a

@@ -153,6 +153,11 @@ val mat_vec : t -> Vec.t -> Vec.t
 val mat_tvec : t -> Vec.t -> Vec.t
 (** [mat_tvec a x] is [aᵀ x]. *)
 
+val mat_tvec_into : t -> Vec.t -> Vec.t -> unit
+(** [mat_tvec_into a x y] overwrites [y] (length [a.cols]) with [aᵀ x],
+    bit-identical to {!mat_tvec} (same accumulation order) without
+    allocating. *)
+
 val gram : t -> t
 (** [gram a] is [aᵀ a] (symmetric). *)
 

@@ -2,13 +2,23 @@ open Cbmf_linalg
 
 type result = { support : int array; coeffs : Mat.t }
 
+(* Per-slot scratch for {!select_next}: the M-length score accumulator
+   and per-state correlation are reused across greedy steps instead of
+   allocating K+1 fresh arrays per step. *)
+let select_arena = Cbmf_parallel.Arena.create ()
+
+let id_scores = Cbmf_parallel.Arena.fresh_id ()
+
+let id_corr = Cbmf_parallel.Arena.fresh_id ()
+
 let select_next (d : Dataset.t) ~residual ~exclude =
   let m = d.Dataset.n_basis in
-  let scores = Array.make m 0.0 in
+  let scores = Cbmf_parallel.Arena.grab_zeroed select_arena id_scores m in
+  let corr = Cbmf_parallel.Arena.grab select_arena id_corr m in
   for k = 0 to d.Dataset.n_states - 1 do
     let b = d.Dataset.design.(k) in
     let norms = Dataset.column_norms d k in
-    let corr = Mat.mat_tvec b residual.(k) in
+    Mat.mat_tvec_into b residual.(k) corr;
     for j = 0 to m - 1 do
       scores.(j) <- scores.(j) +. (abs_float corr.(j) /. norms.(j))
     done

@@ -17,7 +17,8 @@ type result = {
 val select_next : Dataset.t -> residual:Vec.t array -> exclude:bool array -> int
 (** One greedy selection step (eq. 33, with per-state column
     normalization); returns the winning column.  Raises [Not_found] if
-    every column is excluded. *)
+    every column is excluded.  Allocation-free: the scores accumulate
+    in per-pool-slot scratch ({!Cbmf_parallel.Arena}). *)
 
 val fit : Dataset.t -> n_terms:int -> result
 (** Greedy fit with a fixed support size (capped at N and M).

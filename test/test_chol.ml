@@ -177,6 +177,85 @@ let prop_logdet_scaling =
       let ldc = Chol.log_det (Chol.factorize (Mat.scale c a)) in
       abs_float (ldc -. (ld +. (float_of_int n *. log c))) <= 1e-7)
 
+(* --- Updatable factor vs the rank1_update oracle --- *)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let vec_bits_equal a b =
+  Array.length a = Array.length b && Array.for_all2 bits_equal a b
+
+(* An update vector of length [n] that is zero on its first [p]
+   entries ([p = n] is the all-zero vector). *)
+let prefixed_vec rng n p =
+  Array.init n (fun i -> if i < p then 0.0 else Cbmf_prob.Rng.gaussian rng)
+
+(* Zero-prefix lengths for a sequence of updates: always the extremes
+   (none, n−1, all-zero) plus random ones. *)
+let prefixes rng n =
+  [ 0; n - 1; n ] @ List.init 5 (fun _ -> Cbmf_prob.Rng.int rng (n + 1))
+
+let updatable_case n seed =
+  let rng = Cbmf_prob.Rng.create seed in
+  let a = Seeded.random_spd rng n in
+  let oracle = Chol.factorize a in
+  let upd = Chol.Updatable.of_chol oracle in
+  let acc = Mat.copy a in
+  let ok = ref true in
+  let fail fmt = Printf.ksprintf (fun s -> ok := false; prerr_endline s) fmt in
+  List.iter
+    (fun p ->
+      let v = prefixed_vec rng n p in
+      Mat.add_outer_inplace acc 1.0 v v;
+      Chol.rank1_update oracle (Vec.copy v);
+      Chol.Updatable.rank1_update upd v;
+      if not (vec_bits_equal (Chol.lower oracle).Mat.data
+                (Chol.Updatable.lower upd).Mat.data)
+      then fail "n=%d seed=%d prefix=%d: factor bits differ" n seed p;
+      let b = prefixed_vec rng n (Cbmf_prob.Rng.int rng (n + 1)) in
+      if not (vec_bits_equal (Chol.solve_vec oracle b)
+                (Chol.Updatable.solve_vec upd b))
+      then fail "n=%d seed=%d: solve_vec bits differ" n seed;
+      if not (bits_equal (Chol.quad_inv oracle b) (Chol.Updatable.quad_inv upd b))
+      then fail "n=%d seed=%d: quad_inv bits differ" n seed;
+      if not (bits_equal (Chol.log_det oracle) (Chol.Updatable.log_det upd))
+      then fail "n=%d seed=%d: log_det bits differ" n seed)
+    (prefixes rng n);
+  let l = Chol.Updatable.lower upd in
+  let err = Mat.max_abs (Mat.sub (Mat.matmul_nt l l) acc) in
+  if err > 1e-10 *. Float.max 1.0 (Mat.max_abs acc) then
+    fail "n=%d seed=%d: ‖LLᵀ − (A + Σvvᵀ)‖ = %g" n seed err;
+  !ok
+
+let prop_updatable_matches_oracle =
+  qcase ~count:60 "updatable ≡ rank1_update oracle (bits)"
+    QCheck2.Gen.(pair (int_range 1 64) (int_bound 1_000_000))
+    (fun (n, seed) -> updatable_case n seed)
+
+let test_updatable_extremes () =
+  (* Sizes the generator may miss: 1×1 (all-zero update is the only
+     skip) and the largest size. *)
+  List.iter
+    (fun n -> check_true (Printf.sprintf "n=%d" n) (updatable_case n (7 * n)))
+    [ 1; 2; 64 ]
+
+let test_updatable_scaled_identity () =
+  let n = 9 in
+  let buf = Array.make (n * n) nan in
+  let upd = Chol.Updatable.scaled_identity_into buf n 0.25 in
+  let oracle = Chol.of_scaled_identity n 0.25 in
+  let rng = Cbmf_prob.Rng.create 5 in
+  for p = 0 to n do
+    let v = prefixed_vec rng n p in
+    Chol.rank1_update oracle (Vec.copy v);
+    Chol.Updatable.rank1_update upd v
+  done;
+  check_true "bits after updates from c·I"
+    (vec_bits_equal (Chol.lower oracle).Mat.data (Chol.Updatable.lower upd).Mat.data);
+  (* Reusing the buffer resets it completely. *)
+  let fresh = Chol.Updatable.scaled_identity_into buf n 0.25 in
+  check_true "reset is c·I"
+    (vec_bits_equal (Mat.scalar n 0.5).Mat.data (Chol.Updatable.lower fresh).Mat.data)
+
 let suite =
   [ ( "linalg.chol",
       [ case "reconstruct" test_reconstruct;
@@ -196,4 +275,7 @@ let suite =
         case "nearest_pd repair" test_nearest_pd;
         case "sample_transform" test_sample_transform;
         prop_solve_residual;
-        prop_logdet_scaling ] ) ]
+        prop_logdet_scaling;
+        case "updatable: extreme sizes" test_updatable_extremes;
+        case "updatable: scaled identity and reset" test_updatable_scaled_identity;
+        prop_updatable_matches_oracle ] ) ]

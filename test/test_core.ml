@@ -334,6 +334,44 @@ let test_greedy_pass_incremental_matches_posterior () =
   let err = Metrics.coeffs_error_pooled ~coeffs std in
   check_true "consistent residual" (err < 0.2)
 
+(* Pinned golden for the whole CV grid.  The r0 grid includes 0.0,
+   where R = I and every rank-one update vector of the greedy pass has
+   a long zero prefix.  Everything the grid selects — support, θ, r0,
+   σ0 and the CV error — is folded bit-for-bit into one FNV hash; the
+   grid must reproduce it at any domain count and across refactors of
+   the factor kernels. *)
+let init_golden_hash = 7812487250925055797L
+
+let init_golden_config =
+  { Init.default_config with
+    r0_grid = [| 0.0; 0.7; 0.95 |];
+    sigma0_grid = [| 0.1; 0.3 |];
+    theta_max = 8;
+    n_folds = 3 }
+
+let init_golden_run () =
+  let d = planted ~k:6 ~n:12 ~m:24 ~seed:41 () in
+  let _, std = Standardize.fit d in
+  let res = Init.run ~config:init_golden_config std in
+  hash_floats
+    (Array.append
+       (Array.map float_of_int res.Init.support)
+       [| float_of_int res.Init.theta; res.Init.r0; res.Init.sigma0;
+          res.Init.cv_error |])
+
+let test_init_golden () =
+  Fun.protect
+    ~finally:(fun () ->
+      Cbmf_parallel.Pool.set_default_size (Cbmf_parallel.Pool.env_domains ()))
+    (fun () ->
+      List.iter
+        (fun domains ->
+          Cbmf_parallel.Pool.set_default_size domains;
+          check_true
+            (Printf.sprintf "Init.run golden at %d domain(s)" domains)
+            (Int64.equal (init_golden_run ()) init_golden_hash))
+        [ 1; 2 ])
+
 (* --- Cbmf end-to-end --- *)
 
 let test_cbmf_beats_somp_small_n () =
@@ -356,6 +394,23 @@ let test_cbmf_info_populated () =
   check_true "fit time recorded" (info.Cbmf.fit_seconds >= 0.0);
   check_true "active > 0" (info.Cbmf.final_active > 0);
   check_int "R is KxK" d.Dataset.n_states (fst (Mat.dim info.Cbmf.final_r))
+
+let test_cbmf_fit_seconds_wall () =
+  (* CPU time summed over two busy domains exceeds the wall time around
+     the call; the recorded fit time must be the wall time within it. *)
+  let d = planted ~k:12 ~n:12 ~m:40 () in
+  Cbmf_parallel.Pool.set_default_size 2;
+  Fun.protect
+    ~finally:(fun () ->
+      Cbmf_parallel.Pool.set_default_size (Cbmf_parallel.Pool.env_domains ()))
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let model = Cbmf.fit d in
+      let wall = Unix.gettimeofday () -. t0 in
+      let s = model.Cbmf.info.Cbmf.fit_seconds in
+      check_true
+        (Printf.sprintf "fit_seconds %.4f <= wall %.4f" s wall)
+        (s > 0.0 && s <= wall))
 
 let test_cbmf_predict_state () =
   let d = planted ~n:20 ~noise:0.0 () in
@@ -491,10 +546,12 @@ let suite =
       [ case "finds support" test_init_finds_support;
         case "prior shape" test_init_prior_shape;
         case "greedy pass errors" test_greedy_pass_errors_shape;
-        case "incremental consistency" test_greedy_pass_incremental_matches_posterior ] );
+        case "incremental consistency" test_greedy_pass_incremental_matches_posterior;
+        case "pinned golden (1 and 2 domains)" test_init_golden ] );
     ( "core.cbmf",
       [ slow_case "beats S-OMP at small N" test_cbmf_beats_somp_small_n;
         case "info populated" test_cbmf_info_populated;
+        case "fit_seconds is wall time (2 domains)" test_cbmf_fit_seconds_wall;
         case "predict_state" test_cbmf_predict_state;
         case "independent config" test_cbmf_independent_config_runs;
         slow_case "correlation helps" test_cbmf_correlation_helps ] ) ]
