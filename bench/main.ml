@@ -858,8 +858,8 @@ let run_serve_load ~smoke =
   let registry = S.Registry.create () in
   S.Registry.put registry ~name:"m" model;
   (* Two identical servers, differing only in the batcher: window 0
-     disables coalescing (direct per-request engine calls); -1 resolves
-     to the shipping CBMF_BATCH_WINDOW_US default. *)
+     disables coalescing (the engine called inline per request); the
+     other runs the shipping default window. *)
   let start_load_server ~tag ~window =
     S.Server.start
       ~config:
@@ -874,7 +874,10 @@ let run_serve_load ~smoke =
       (Unix.ADDR_UNIX (Filename.concat dir (tag ^ ".sock")))
   in
   let unbatched_srv = start_load_server ~tag:"unbatched" ~window:0 in
-  let batched_srv = start_load_server ~tag:"batched" ~window:(-1) in
+  let batched_srv =
+    start_load_server ~tag:"batched"
+      ~window:S.Server.default_config.batch_window_us
+  in
   let one_request addr () =
     (* Fresh connection per request: connect, one predict, close — the
        open-loop generator models independent arrivals, not sessions. *)

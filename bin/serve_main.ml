@@ -119,7 +119,7 @@ let run_sharded ~config ~shards ~models socket =
   List.iter
     (fun spec ->
       let name, path = parse_model_spec spec in
-      match Shard.load_path router ~name ~path with
+      match Client.load_path (Shard.client_for router ~name) ~name ~path with
       | Ok _ ->
           Printf.printf "Loaded %S -> %s on shard %d\n%!" name path
             (Shard.route router ~name)
@@ -235,21 +235,20 @@ let serve_cmd =
   in
   let batch_window_us =
     Arg.(
-      value & opt int (-1)
+      value
+      & opt int Server.default_config.Server.batch_window_us
       & info [ "batch-window-us" ]
           ~doc:
             "Dynamic-batching window in microseconds: predicts from all \
              connections are coalesced into merged engine calls (replies \
-             stay bit-identical).  0 disables batching; negative (the \
-             default) uses CBMF_BATCH_WINDOW_US or 200.")
+             stay bit-identical).  0 calls the engine inline per request.")
   in
   let batch_max =
     Arg.(
-      value & opt int 0
+      value
+      & opt int Server.default_config.Server.batch_max
       & info [ "batch-max" ]
-          ~doc:
-            "Points per merged engine call before an early flush.  0 or \
-             negative (the default) uses CBMF_BATCH_MAX or 4 engine chunks.")
+          ~doc:"Points per merged engine call before an early flush.")
   in
   let shards =
     Arg.(
@@ -276,9 +275,16 @@ let serve_cmd =
 
 (* --- Client one-shots ------------------------------------------------- *)
 
-let with_client ~socket ~port f =
-  let c = Client.connect (sockaddr ~socket ~port) in
-  Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+let fail what msg =
+  prerr_endline (Printf.sprintf "%s failed: %s" what msg);
+  exit 1
+
+(* One connection for one command.  A server that cannot be reached is
+   a lost connection like any other: the typed message and exit 1. *)
+let with_client ~what addr f =
+  match Client.with_failover ~attempts:1 [ addr ] (fun c -> Ok (f c)) with
+  | Ok () -> ()
+  | Error failure -> fail what (Client.failure_to_string failure)
 
 let shard_base ~socket =
   match socket with
@@ -289,27 +295,22 @@ let shard_base ~socket =
 
 (* Name-routed one-shots against a sharded cluster: connect only to
    the shard the consistent hash owns [name] on. *)
-let with_routed ~socket ~port ~shards ~name f =
-  if shards <= 1 then with_client ~socket ~port f
-  else begin
-    let base_path = shard_base ~socket in
-    let router =
-      Shard.router ~shards (fun i ->
-          Client.connect (Shard.shard_addr ~base_path i))
-    in
-    Fun.protect
-      ~finally:(fun () -> Shard.close_router router)
-      (fun () -> f (Shard.client_for router ~name))
-  end
+let with_routed ~what ~socket ~port ~shards ~name f =
+  let addr =
+    if shards <= 1 then sockaddr ~socket ~port
+    else
+      Shard.shard_addr ~base_path:(shard_base ~socket)
+        (Shard.place (Shard.ring shards) name)
+  in
+  with_client ~what addr f
 
 (* Unnamed one-shots (ping, stats, shutdown) fan over every shard. *)
-let each_shard ~socket ~port ~shards f =
-  if shards <= 1 then with_client ~socket ~port (f 0)
+let each_shard ~what ~socket ~port ~shards f =
+  if shards <= 1 then with_client ~what (sockaddr ~socket ~port) (f 0)
   else begin
     let base_path = shard_base ~socket in
     for i = 0 to shards - 1 do
-      let c = Client.connect (Shard.shard_addr ~base_path i) in
-      Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f i c)
+      with_client ~what (Shard.shard_addr ~base_path i) (f i)
     done
   end
 
@@ -322,14 +323,12 @@ let shards_t =
            model-named requests go to the consistent-hash owner shard.")
 
 let run_load socket port shards name path =
-  with_routed ~socket ~port ~shards ~name (fun c ->
+  with_routed ~what:"load" ~socket ~port ~shards ~name (fun c ->
       match Client.load_path c ~name ~path with
       | Ok (n_active, n_states, bytes) ->
           Printf.printf "Loaded %S: %d active terms, %d states, ~%d bytes\n"
             name n_active n_states bytes
-      | Error msg ->
-          prerr_endline ("load failed: " ^ msg);
-          exit 1)
+      | Error msg -> fail "load" msg)
 
 let load_cmd =
   let name_t =
@@ -352,13 +351,11 @@ let run_predict socket port shards name state xspec =
   let xs =
     Cbmf_linalg.Mat.unsafe_of_flat ~rows:1 ~cols:(Array.length x) x
   in
-  with_routed ~socket ~port ~shards ~name (fun c ->
-      match Client.predict c ~name ~states:[| state |] ~xs with
+  with_routed ~what:"predict" ~socket ~port ~shards ~name (fun c ->
+      match Client.predict_typed c ~name ~states:[| state |] ~xs with
       | Ok (means, sds) ->
           Printf.printf "mean = %.6g, sd = %.6g\n" means.(0) sds.(0)
-      | Error msg ->
-          prerr_endline ("predict failed: " ^ msg);
-          exit 1)
+      | Error f -> fail "predict" (Client.failure_to_string f))
 
 let predict_cmd =
   let name_t =
@@ -380,15 +377,13 @@ let predict_cmd =
       $ x_t)
 
 let run_ping socket port shards =
-  each_shard ~socket ~port ~shards (fun i c ->
+  each_shard ~what:"ping" ~socket ~port ~shards (fun i c ->
       match Client.ping c with
       | Ok generation ->
           if shards > 1 then
             Printf.printf "shard %d pong: generation %d\n" i generation
           else Printf.printf "pong: generation %d\n" generation
-      | Error f ->
-          prerr_endline ("ping failed: " ^ Client.failure_to_string f);
-          exit 1)
+      | Error f -> fail "ping" (Client.failure_to_string f))
 
 let ping_cmd =
   Cmd.v
@@ -398,16 +393,14 @@ let ping_cmd =
     Term.(const run_ping $ socket_t $ port_t $ shards_t)
 
 let run_reload socket port shards name path =
-  with_routed ~socket ~port ~shards ~name (fun c ->
+  with_routed ~what:"reload" ~socket ~port ~shards ~name (fun c ->
       match Client.reload_path c ~name ~path with
       | Ok (generation, n_active, n_states, bytes) ->
           Printf.printf
             "Reloaded %S (generation %d): %d active terms, %d states, ~%d \
              bytes\n"
             name generation n_active n_states bytes
-      | Error f ->
-          prerr_endline ("reload failed: " ^ Client.failure_to_string f);
-          exit 1)
+      | Error f -> fail "reload" (Client.failure_to_string f))
 
 let reload_cmd =
   let name_t =
@@ -425,14 +418,12 @@ let reload_cmd =
     Term.(const run_reload $ socket_t $ port_t $ shards_t $ name_t $ path_t)
 
 let run_stats socket port shards =
-  each_shard ~socket ~port ~shards (fun i c ->
+  each_shard ~what:"stats" ~socket ~port ~shards (fun i c ->
       match Client.stats c with
       | Ok json ->
           if shards > 1 then Printf.printf "shard %d: %s\n" i json
           else print_endline json
-      | Error msg ->
-          prerr_endline ("stats failed: " ^ msg);
-          exit 1)
+      | Error msg -> fail "stats" msg)
 
 let stats_cmd =
   Cmd.v
@@ -440,7 +431,8 @@ let stats_cmd =
     Term.(const run_stats $ socket_t $ port_t $ shards_t)
 
 let run_shutdown socket port shards =
-  each_shard ~socket ~port ~shards (fun _ c -> Client.shutdown c);
+  each_shard ~what:"shutdown" ~socket ~port ~shards (fun _ c ->
+      Client.shutdown c);
   print_endline "Shutdown requested."
 
 let shutdown_cmd =

@@ -210,60 +210,3 @@ let batch_chunk () =
   match chunk_override () with
   | Some c -> c
   | None -> default_batch_chunk
-
-(* --- Serving-tier dynamic-batching policy --------------------------
-
-   The batch window is how long the serving batcher lets the first
-   queued predict request age before flushing, so concurrent
-   connections get a chance to coalesce into one blocked engine call.
-   It trades tail latency (every request can wait up to one window)
-   against throughput (bigger merged batches), so it is an explicit
-   environment knob with a conservative default: long enough to
-   gather requests that arrive "together" through the worker pool
-   (hundreds of microseconds of systhread scheduling jitter), short
-   enough to be invisible next to a model evaluation.  Under
-   sustained load the batcher drains continuously and the window only
-   pays at the idle→busy edge, so the default is not throughput
-   critical.  0 disables batching entirely (strict per-request
-   serving).
-
-   The batch cap bounds the points of one merged engine call.  The
-   default is a few engine chunks: big enough that a full merge still
-   fans out across the pool, small enough that one giant request
-   cannot stall every coalesced neighbour behind it.
-
-   Both are bit-neutral: merged and per-request serving are
-   bit-identical per point (the engine's per-point arithmetic never
-   depends on its batch neighbours), so these knobs affect latency
-   and throughput only. *)
-
-let default_batch_window_us = 200
-
-let env_int_memo : (string, int option) Hashtbl.t = Hashtbl.create 4
-
-let env_int name =
-  Mutex.lock memo_mutex;
-  let v =
-    match Hashtbl.find_opt env_int_memo name with
-    | Some v -> v
-    | None ->
-        let v =
-          match Sys.getenv_opt name with
-          | Some s -> int_of_string_opt (String.trim s)
-          | None -> None
-        in
-        Hashtbl.replace env_int_memo name v;
-        v
-  in
-  Mutex.unlock memo_mutex;
-  v
-
-let batch_window_us () =
-  match env_int "CBMF_BATCH_WINDOW_US" with
-  | Some w when w >= 0 -> w
-  | _ -> default_batch_window_us
-
-let batch_max () =
-  match env_int "CBMF_BATCH_MAX" with
-  | Some m when m >= 1 -> m
-  | _ -> 4 * batch_chunk ()

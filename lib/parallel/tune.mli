@@ -55,18 +55,3 @@ val batch_chunk : unit -> int
     a pure function of the environment — never of pool size or
     calibration — so results are bit-identical at any
     [CBMF_DOMAINS]. *)
-
-val default_batch_window_us : int
-
-val batch_window_us : unit -> int
-(** Serving-tier dynamic-batching window in microseconds:
-    [CBMF_BATCH_WINDOW_US] if set to a non-negative integer, 200
-    otherwise.  How long the batcher lets the first queued predict
-    request age before flushing, so concurrent connections coalesce;
-    [0] disables batching (strict per-request serving).  Bit-neutral:
-    merged and per-request serving are bit-identical per point. *)
-
-val batch_max : unit -> int
-(** Cap on the points of one merged engine call:
-    [CBMF_BATCH_MAX] if set to a positive integer, [4 * batch_chunk ()]
-    otherwise.  Bit-neutral. *)

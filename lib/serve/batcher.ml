@@ -240,15 +240,9 @@ let drainer_loop t =
     end
   done
 
-let create ?stats ?pool ?window_us ?max_points () =
-  let window_us =
-    match window_us with
-    | Some w when w >= 0 -> w
-    | _ -> Tune.batch_window_us ()
-  in
-  let max_points =
-    match max_points with Some m when m >= 1 -> m | _ -> Tune.batch_max ()
-  in
+let create ?stats ?pool ~window_us ~max_points () =
+  if window_us < 0 then invalid_arg "Batcher.create: negative window";
+  if max_points < 1 then invalid_arg "Batcher.create: max_points below 1";
   let t =
     {
       lock = Mutex.create ();
@@ -265,8 +259,6 @@ let create ?stats ?pool ?window_us ?max_points () =
   in
   if window_us > 0 then t.drainer <- Some (Thread.create drainer_loop t);
   t
-
-let window_us t = t.window_us
 
 let submit t ?deadline ~model ~states ~xs () =
   let direct () = Engine.predict_batch ?pool:t.pool ?deadline model ~states ~xs in

@@ -35,18 +35,16 @@ type t
 val create :
   ?stats:Stats.t ->
   ?pool:Pool.t ->
-  ?window_us:int ->
-  ?max_points:int ->
+  window_us:int ->
+  max_points:int ->
   unit ->
   t
-(** [window_us] defaults to {!Cbmf_parallel.Tune.batch_window_us}
-    ([CBMF_BATCH_WINDOW_US], 200 otherwise) and [max_points] to
-    {!Cbmf_parallel.Tune.batch_max} ([CBMF_BATCH_MAX], 4 engine chunks
-    otherwise).  When [window_us > 0] a drainer thread starts
-    immediately; 0 starts nothing.  [stats] receives the batch-wait /
-    compute phase split and the occupancy histogram. *)
-
-val window_us : t -> int
+(** When [window_us > 0] a drainer thread starts immediately; 0 starts
+    nothing and {!submit} calls the engine inline.  [max_points] caps
+    the points of one merged engine call.  The serving defaults live
+    in {!Server.default_config}.  [stats] receives the batch-wait /
+    compute phase split and the occupancy histogram.  Raises
+    [Invalid_argument] when [window_us < 0] or [max_points < 1]. *)
 
 val submit :
   t ->

@@ -1,8 +1,23 @@
 open Cbmf_prob
 
-type t = { fd : Unix.file_descr; mutable closed : bool }
+type failure =
+  | Connection_lost of string
+  | Overloaded of { queue_depth : int; retry_after_ms : int }
+  | Server_error of { code : Protocol.error_code; message : string }
+  | Unexpected of string
 
-let of_fd fd = { fd; closed = false }
+(* [lost] is sticky: once the stream is gone (or the server shed the
+   connection) every later call answers the same failure without
+   touching the socket.  A request that timed out may still get its
+   reply later; reading on would hand that stale reply to the next
+   request. *)
+type t = {
+  fd : Unix.file_descr;
+  mutable closed : bool;
+  mutable lost : failure option;
+}
+
+let of_fd fd = { fd; closed = false; lost = None }
 
 let connect ?(timeout = 10.0) sockaddr =
   let domain =
@@ -21,59 +36,16 @@ let connect ?(timeout = 10.0) sockaddr =
    with Unix.Unix_error _ -> ());
   of_fd fd
 
+(* A closed client is lost too, so no call can reach a descriptor
+   number the process has since reused. *)
 let close t =
+  if t.lost = None then t.lost <- Some (Connection_lost "client closed");
   if not t.closed then begin
     t.closed <- true;
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
-let send_raw t body =
-  Protocol.write_frame t.fd body;
-  Protocol.decode_reply (Protocol.read_frame t.fd)
-
-let call t req =
-  Protocol.write_request t.fd req;
-  Protocol.decode_reply (Protocol.read_frame t.fd)
-
-let err_string code message =
-  Printf.sprintf "%s: %s" (Protocol.error_code_name code) message
-
-let load_result t req =
-  match call t req with
-  | Protocol.Loaded { n_active; n_states; bytes } -> Ok (n_active, n_states, bytes)
-  | Protocol.Error { code; message } -> Error (err_string code message)
-  | _ -> Error "unexpected reply"
-
-let load_path t ~name ~path =
-  load_result t (Protocol.Load { name; source = Protocol.Path path })
-
-let load_inline t ~name ~image =
-  load_result t (Protocol.Load { name; source = Protocol.Inline image })
-
-let predict t ~name ~states ~xs =
-  match call t (Protocol.Predict { name; states; xs }) with
-  | Protocol.Predicted { means; sds } -> Ok (means, sds)
-  | Protocol.Error { code; message } -> Error (err_string code message)
-  | _ -> Error "unexpected reply"
-
-let stats t =
-  match call t Protocol.Stats with
-  | Protocol.Stats_json json -> Ok json
-  | Protocol.Error { code; message } -> Error (err_string code message)
-  | _ -> Error "unexpected reply"
-
-let shutdown t =
-  match call t Protocol.Shutdown with
-  | _ -> ()
-  | exception (Protocol.Closed | Codec.Corrupt _ | Unix.Unix_error _) -> ()
-
-(* --- Typed failures --------------------------------------------------- *)
-
-type failure =
-  | Connection_lost of string
-  | Overloaded of { queue_depth : int; retry_after_ms : int }
-  | Server_error of { code : Protocol.error_code; message : string }
-  | Unexpected of string
+let broken t = t.lost <> None
 
 let failure_to_string = function
   | Connection_lost msg -> Printf.sprintf "connection lost: %s" msg
@@ -88,113 +60,123 @@ let retryable = function
   | Connection_lost _ | Overloaded _ -> true
   | Server_error _ | Unexpected _ -> false
 
-(* One round-trip with every transport-level failure folded into a
-   typed value: a hangup, a torn reply frame, a socket timeout and a
-   refused connect all become [Connection_lost] — the stream is gone
-   either way, and a caller (e.g. [with_failover]) can't use the raw
+(* The one place a transport exception becomes a typed failure: a
+   hangup, a torn reply frame, a socket timeout and a refused connect
+   all mean the stream is gone, and a caller can't use the raw
    exception to decide anything the constructor doesn't already say. *)
-let call_typed t req =
-  match call t req with
-  | Protocol.Overloaded { queue_depth; retry_after_ms } ->
-      Error (Overloaded { queue_depth; retry_after_ms })
-  | Protocol.Error { code; message } -> Error (Server_error { code; message })
-  | reply -> Ok reply
-  | exception Protocol.Closed ->
-      Error (Connection_lost "server closed the connection")
-  | exception End_of_file -> Error (Connection_lost "unexpected end of stream")
-  | exception Codec.Corrupt msg ->
-      Error (Connection_lost (Printf.sprintf "torn reply: %s" msg))
-  | exception Unix.Unix_error (e, fn, _) ->
-      Error (Connection_lost (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
+let connection_lost = function
+  | Protocol.Closed -> Connection_lost "server closed the connection"
+  | End_of_file -> Connection_lost "unexpected end of stream"
+  | Codec.Corrupt msg -> Connection_lost (Printf.sprintf "torn reply: %s" msg)
+  | Unix.Unix_error (e, fn, _) ->
+      Connection_lost (Printf.sprintf "%s: %s" fn (Unix.error_message e))
+  | e -> raise e
 
-let predicted_of = function
-  | Ok (Protocol.Predicted { means; sds }) -> Ok (means, sds)
-  | Ok _ -> Error (Unexpected "predict answered with a non-predict reply")
-  | Error _ as e -> e
+let lose t f =
+  t.lost <- Some f;
+  Error f
 
-let predict_typed t ~name ~states ~xs =
-  predicted_of (call_typed t (Protocol.Predict { name; states; xs }))
+let send t req =
+  match t.lost with
+  | Some f -> Error f
+  | None -> (
+      match Protocol.write_request t.fd req with
+      | () -> Ok ()
+      | exception e -> lose t (connection_lost e))
+
+let receive t =
+  match t.lost with
+  | Some f -> Error f
+  | None -> (
+      match Protocol.decode_reply (Protocol.read_frame t.fd) with
+      | Protocol.Overloaded { queue_depth; retry_after_ms } ->
+          (* The server closes a shed connection right after this. *)
+          lose t (Overloaded { queue_depth; retry_after_ms })
+      | Protocol.Error { code; message } -> Error (Server_error { code; message })
+      | reply -> Ok reply
+      | exception e -> lose t (connection_lost e))
+
+let call t req = Result.bind (send t req) (fun () -> receive t)
+
+let send_raw t body =
+  Protocol.write_frame t.fd body;
+  Protocol.decode_reply (Protocol.read_frame t.fd)
+
+(* [call]'s result narrowed to the reply kind [op] must answer with. *)
+let expect op pick r =
+  Result.bind r (fun reply ->
+      match pick reply with
+      | Some v -> Ok v
+      | None ->
+          Error
+            (Unexpected (Printf.sprintf "%s answered with a non-%s reply" op op)))
+
+let predicted = function
+  | Protocol.Predicted { means; sds } -> Some (means, sds)
+  | _ -> None
+
+let predict_typed ?deadline_ms t ~name ~states ~xs =
+  let req =
+    match deadline_ms with
+    | None -> Protocol.Predict { name; states; xs }
+    | Some deadline_ms ->
+        Protocol.Predict_deadline { name; states; xs; deadline_ms }
+  in
+  expect "predict" predicted (call t req)
 
 (* Pipelined predicts: every frame goes out before any reply is read,
-   collapsing N round-trip latencies into one.  The server handles a
-   connection sequentially, so pipelining alone does not fill the
-   dynamic batcher's window — cross-connection concurrency does that —
-   but it keeps this connection's requests flowing back-to-back into
-   it.  Replies come back in request order.  A
-   transport failure poisons the rest of the pipeline — the stream is
-   unreadable past the tear — so every remaining slot gets the same
-   [Connection_lost]; a typed server error ([Model_not_found], a shape
-   error) only fails its own slot. *)
+   collapsing N round-trip latencies into one.  Replies come back in
+   request order.  A transport failure loses the client, so the
+   remaining sends are skipped and every remaining slot gets the same
+   failure; a typed server error only fails its own slot.  SO_SNDTIMEO
+   bounds a wedged pipe (a server that stopped reading while both
+   socket buffers are full). *)
 let predict_many t ~name reqs =
-  let lost = ref None in
-  let connection_lost e =
-    let f =
-      match e with
-      | Protocol.Closed -> Connection_lost "server closed the connection"
-      | End_of_file -> Connection_lost "unexpected end of stream"
-      | Codec.Corrupt msg ->
-          Connection_lost (Printf.sprintf "torn reply: %s" msg)
-      | Unix.Unix_error (ue, fn, _) ->
-          Connection_lost (Printf.sprintf "%s: %s" fn (Unix.error_message ue))
-      | e -> raise e
-    in
-    lost := Some f;
-    f
-  in
-  (* Send phase.  SO_SNDTIMEO bounds a wedged pipe (a server that
-     stopped reading while both socket buffers are full), surfacing it
-     as [Connection_lost] rather than a hang. *)
-  (try
-     List.iter
-       (fun (states, xs) ->
-         match !lost with
-         | Some _ -> ()
-         | None ->
-             Protocol.write_request t.fd (Protocol.Predict { name; states; xs }))
-       reqs
-   with e -> ignore (connection_lost e));
-  (* Read phase, in order; sends that never happened still consume a
-     slot so the result list always aligns with [reqs]. *)
-  List.map
-    (fun _ ->
-      match !lost with
-      | Some f -> Error f
-      | None -> (
-          match Protocol.decode_reply (Protocol.read_frame t.fd) with
-          | Protocol.Predicted { means; sds } -> Ok (means, sds)
-          | Protocol.Overloaded { queue_depth; retry_after_ms } ->
-              Error (Overloaded { queue_depth; retry_after_ms })
-          | Protocol.Error { code; message } ->
-              Error (Server_error { code; message })
-          | _ -> Error (Unexpected "predict answered with a non-predict reply")
-          | exception
-              ((Protocol.Closed | End_of_file | Codec.Corrupt _
-               | Unix.Unix_error _) as e) ->
-              Error (connection_lost e)))
-    reqs
-
-let predict_deadline t ~name ~states ~xs ~deadline_ms =
-  predicted_of
-    (call_typed t (Protocol.Predict_deadline { name; states; xs; deadline_ms }))
+  List.iter
+    (fun (states, xs) ->
+      ignore (send t (Protocol.Predict { name; states; xs })))
+    reqs;
+  List.map (fun _ -> expect "predict" predicted (receive t)) reqs
 
 let ping t =
-  match call_typed t Protocol.Ping with
-  | Ok (Protocol.Pong { generation }) -> Ok generation
-  | Ok _ -> Error (Unexpected "ping answered with a non-pong reply")
-  | Error _ as e -> e
+  expect "ping"
+    (function Protocol.Pong { generation } -> Some generation | _ -> None)
+    (call t Protocol.Ping)
 
-let reload_result t req =
-  match call_typed t req with
-  | Ok (Protocol.Reloaded { generation; n_active; n_states; bytes }) ->
-      Ok (generation, n_active, n_states, bytes)
-  | Ok _ -> Error (Unexpected "reload answered with a non-reload reply")
-  | Error _ as e -> e
+let reload t ~name source =
+  expect "reload"
+    (function
+      | Protocol.Reloaded { generation; n_active; n_states; bytes } ->
+          Some (generation, n_active, n_states, bytes)
+      | _ -> None)
+    (call t (Protocol.Reload { name; source }))
 
-let reload_path t ~name ~path =
-  reload_result t (Protocol.Reload { name; source = Protocol.Path path })
+let reload_path t ~name ~path = reload t ~name (Protocol.Path path)
 
-let reload_inline t ~name ~image =
-  reload_result t (Protocol.Reload { name; source = Protocol.Inline image })
+let reload_inline t ~name ~image = reload t ~name (Protocol.Inline image)
+
+let load t ~name source =
+  expect "load"
+    (function
+      | Protocol.Loaded { n_active; n_states; bytes } ->
+          Some (n_active, n_states, bytes)
+      | _ -> None)
+    (call t (Protocol.Load { name; source }))
+  |> Result.map_error failure_to_string
+
+let load_path t ~name ~path = load t ~name (Protocol.Path path)
+
+let load_inline t ~name ~image = load t ~name (Protocol.Inline image)
+
+let stats t =
+  expect "stats"
+    (function Protocol.Stats_json json -> Some json | _ -> None)
+    (call t Protocol.Stats)
+  |> Result.map_error failure_to_string
+
+(* The server may hang up before its reply lands; it is going down
+   either way. *)
+let shutdown t = ignore (call t Protocol.Shutdown)
 
 (* --- Failover --------------------------------------------------------- *)
 
@@ -210,10 +192,7 @@ let with_failover ?(attempts = 6) ?(base_backoff = 0.01) ?(max_backoff = 0.25)
         let addr = replicas.(i mod n) in
         let outcome =
           match connect ~timeout addr with
-          | exception Unix.Unix_error (e, fn, _) ->
-              Error
-                (Connection_lost
-                   (Printf.sprintf "connect %s: %s" fn (Unix.error_message e)))
+          | exception (Unix.Unix_error _ as e) -> Error (connection_lost e)
           | c -> Fun.protect ~finally:(fun () -> close c) (fun () -> f c)
         in
         match outcome with

@@ -1,54 +1,30 @@
 (** Blocking client for the serving protocol — used by the CLI, the
     tests and the smoke harness.  One connection, requests answered in
-    order. *)
+    order.
+
+    Every request goes through one typed round-trip, {!call}; the
+    per-operation helpers below only narrow its reply.  No call raises
+    on transport problems: everything that ends a round-trip folds into
+    a {!failure}. *)
 
 open Cbmf_linalg
 
 type t
 
 val connect : ?timeout:float -> Unix.sockaddr -> t
-(** [timeout] (default 10 s) bounds each send/receive. *)
+(** [timeout] (default 10 s) bounds each send/receive.  Raises
+    [Unix.Unix_error] when the connect itself fails. *)
 
 val of_fd : Unix.file_descr -> t
 (** Wrap an already-connected descriptor (e.g. one end of a
     [socketpair] in tests).  [close] closes it. *)
 
 val close : t -> unit
-
-val call : t -> Protocol.request -> Protocol.reply
-(** One round-trip.  Raises {!Protocol.Closed} if the server hung up
-    and {!Codec.Corrupt} if the reply does not decode. *)
-
-val send_raw : t -> string -> Protocol.reply
-(** Frame an arbitrary body and read one reply — the malformed-frame
-    test hook. *)
-
-val load_path : t -> name:string -> path:string -> (int * int * int, string) result
-(** Ask the server to load a snapshot file it can reach; [Ok (n_active,
-    n_states, bytes)] on success, the server's error message otherwise. *)
-
-val load_inline : t -> name:string -> image:string -> (int * int * int, string) result
-(** Ship a snapshot image in the request body. *)
-
-val predict :
-  t ->
-  name:string ->
-  states:int array ->
-  xs:Mat.t ->
-  (float array * float array, string) result
-
-val stats : t -> (string, string) result
-(** The server's stats-JSON blob. *)
-
-val shutdown : t -> unit
-(** Fire the shutdown request; tolerates the server hanging up before
-    the reply lands. *)
+(** Idempotent.  A closed client is {!broken}. *)
 
 (** {1 Typed failures}
 
-    The [_typed] entry points never raise on transport problems:
-    everything that ends a round-trip folds into a {!failure}, split
-    by what a caller may do about it — {!retryable} failures
+    Split by what a caller may do about them: {!retryable} failures
     ([Connection_lost], [Overloaded]) are safe to retry on another
     replica for idempotent requests; the rest are answers, not
     outages. *)
@@ -69,16 +45,33 @@ val failure_to_string : failure -> string
 val retryable : failure -> bool
 (** [true] exactly for [Connection_lost] and [Overloaded]. *)
 
-val call_typed : t -> Protocol.request -> (Protocol.reply, failure) result
-(** Like {!call} but transport failures and [Overloaded]/[Error]
-    replies land in [Error]; any other reply is [Ok]. *)
+val broken : t -> bool
+(** [true] once the client lost its stream, was shed or was closed.
+    A broken client stays broken: every later call returns the same
+    failure without touching the socket, so a late reply to a
+    timed-out request is never read as the answer to the next one.
+    Dial a new client to go on. *)
+
+(** {1 Requests} *)
+
+val call : t -> Protocol.request -> (Protocol.reply, failure) result
+(** One round-trip.  [Overloaded] and [Error] replies land in
+    [Error]; any other reply is [Ok]. *)
+
+val send_raw : t -> string -> Protocol.reply
+(** Frame an arbitrary body and read one reply — the malformed-frame
+    test hook.  Raises on transport problems. *)
 
 val predict_typed :
+  ?deadline_ms:int ->
   t ->
   name:string ->
   states:int array ->
   xs:Mat.t ->
   (float array * float array, failure) result
+(** [deadline_ms] is a client-side wall-clock budget in milliseconds;
+    the server answers [Deadline_exceeded] (a [Server_error]) when it
+    cannot make it. *)
 
 val predict_many :
   t ->
@@ -91,22 +84,9 @@ val predict_many :
     pipelining does not by itself fill the dynamic batcher's window —
     that takes concurrent connections — but it keeps this connection's
     requests arriving back-to-back.)  Replies arrive in request order;
-    the result list aligns 1:1 with
-    the input.  A typed server error fails only its own slot; a
-    transport failure (hangup, torn frame, timeout) fails its slot and
-    every later one with the same [Connection_lost], since the stream
-    cannot be resynchronized.  Never raises on transport problems. *)
-
-val predict_deadline :
-  t ->
-  name:string ->
-  states:int array ->
-  xs:Mat.t ->
-  deadline_ms:int ->
-  (float array * float array, failure) result
-(** {!predict_typed} with a client-side wall-clock budget in
-    milliseconds; the server answers [Deadline_exceeded] (a
-    [Server_error]) when it cannot make it. *)
+    the result list aligns 1:1 with the input.  A typed server error
+    fails only its own slot; a transport failure or a shed breaks the
+    client, failing its slot and every later one the same way. *)
 
 val ping : t -> (int, failure) result
 (** Health probe; [Ok generation] carries the registry's global
@@ -122,6 +102,21 @@ val reload_path :
 val reload_inline :
   t -> name:string -> image:string -> (int * int * int * int, failure) result
 (** Same, shipping the snapshot image in the request body. *)
+
+val load_path : t -> name:string -> path:string -> (int * int * int, string) result
+(** Ask the server to load a snapshot file it can reach; [Ok (n_active,
+    n_states, bytes)] on success, {!failure_to_string} of the failure
+    otherwise. *)
+
+val load_inline : t -> name:string -> image:string -> (int * int * int, string) result
+(** Ship a snapshot image in the request body. *)
+
+val stats : t -> (string, string) result
+(** The server's stats-JSON blob. *)
+
+val shutdown : t -> unit
+(** Fire the shutdown request; tolerates the server hanging up before
+    the reply lands. *)
 
 val with_failover :
   ?attempts:int ->
@@ -141,5 +136,7 @@ val with_failover :
     [0.5, 1.5)× derived from [(seed, attempt)] via
     {!Cbmf_prob.Rng.derive} — replays sleep the same schedule.  An
     [Overloaded] hint floors the next delay at its [retry_after_ms].
-    Each attempt uses a fresh connection, closed before returning.
-    Raises [Invalid_argument] on an empty replica list. *)
+    Each attempt uses a fresh connection, closed before returning; a
+    refused connect is a [Connection_lost].  With [~attempts:1] this
+    is the connect-call-close liveness probe.  Raises
+    [Invalid_argument] on an empty replica list. *)

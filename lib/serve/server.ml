@@ -13,9 +13,8 @@ type config = {
   deadline : float;
   drain_timeout : float;
   retry_after_ms : int;
-  batch_window_us : int;
-      (* dynamic-batching window; 0 = unbatched, <0 = Tune default *)
-  batch_max : int;  (* points per merged engine call; <=0 = Tune default *)
+  batch_window_us : int;  (* dynamic-batching window; 0 = engine inline *)
+  batch_max : int;  (* points per merged engine call *)
 }
 
 let default_config =
@@ -27,22 +26,17 @@ let default_config =
     deadline = 0.0;
     drain_timeout = 1.0;
     retry_after_ms = 50;
-    batch_window_us = -1;
-    batch_max = 0;
+    (* Long enough to gather requests that arrive "together" through
+       the worker pool (hundreds of µs of systhread scheduling
+       jitter), short enough to be invisible next to a model
+       evaluation; under sustained load it only pays at the
+       idle→busy edge. *)
+    batch_window_us = 200;
+    (* A few engine chunks: a full merge still fans out across the
+       pool, yet one giant request cannot stall every coalesced
+       neighbour behind it. *)
+    batch_max = 4 * Engine.chunk_size;
   }
-
-(* Resolve the sentinel defaults against Tune (env-overridable) at
-   server start, not at module load. *)
-let batcher_of_config ~stats config =
-  let window_us =
-    if config.batch_window_us < 0 then Cbmf_parallel.Tune.batch_window_us ()
-    else config.batch_window_us
-  in
-  let max_points =
-    if config.batch_max <= 0 then Cbmf_parallel.Tune.batch_max ()
-    else config.batch_max
-  in
-  Batcher.create ~stats ~window_us ~max_points ()
 
 (* Chaos-harness fault sites (armed via CBMF_FAULT_SITES, see
    Cbmf_robust.Inject).  Each simulates one serve-tier failure mode:
@@ -177,7 +171,7 @@ type ctx = {
   c_registry : Registry.t;
   c_stats : Stats.t;
   c_deadline : float;  (* per-request wall-clock budget, s; 0 = none *)
-  c_batcher : Batcher.t option;  (* None = call the engine directly *)
+  c_batcher : Batcher.t;
   on_shutdown : unit -> unit;
 }
 
@@ -215,13 +209,9 @@ let do_predict ctx ?deadline ~name ~states ~xs () =
         true )
   | Some model -> (
       try
-        (* The batcher's reply is bit-identical to the direct engine
-           call and raises the same exceptions, so the handlers below
-           cover both paths. *)
+        (* The batcher raises exactly what the engine would. *)
         let means, sds =
-          match ctx.c_batcher with
-          | Some b -> Batcher.submit b ?deadline ~model ~states ~xs ()
-          | None -> Engine.predict_batch ?deadline model ~states ~xs
+          Batcher.submit ctx.c_batcher ?deadline ~model ~states ~xs ()
         in
         (Protocol.Predicted { means; sds }, true)
       with
@@ -393,6 +383,12 @@ let close_conn fd =
 
 let serve_fd ?stats ?batcher ?(deadline = 0.0) ~registry fd =
   let stats = match stats with Some s -> s | None -> Stats.create () in
+  let batcher =
+    match batcher with
+    | Some b -> b
+    | None ->
+        Batcher.create ~window_us:0 ~max_points:default_config.batch_max ()
+  in
   serve_loop
     {
       c_registry = registry;
@@ -410,8 +406,7 @@ let worker_loop t =
       c_registry = t.registry;
       c_stats = t.stats;
       c_deadline = t.config.deadline;
-      c_batcher =
-        (if Batcher.window_us t.batcher > 0 then Some t.batcher else None);
+      c_batcher = t.batcher;
       on_shutdown = (fun () -> request_stop t);
     }
   in
@@ -503,6 +498,11 @@ let start ?(config = default_config) ?registry ?stats sockaddr =
     match registry with Some r -> r | None -> Registry.create ()
   in
   let stats = match stats with Some s -> s | None -> Stats.create () in
+  (* First, so a bad batching policy raises before any socket exists. *)
+  let batcher =
+    Batcher.create ~stats ~window_us:config.batch_window_us
+      ~max_points:config.batch_max ()
+  in
   let domain =
     match sockaddr with
     | Unix.ADDR_UNIX _ -> Unix.PF_UNIX
@@ -525,6 +525,7 @@ let start ?(config = default_config) ?registry ?stats sockaddr =
      Unix.listen listen_fd config.backlog
    with e ->
      Unix.close listen_fd;
+     Batcher.stop batcher;
      raise e);
   let bound = Unix.getsockname listen_fd in
   let pipe_rd, pipe_wr = Unix.pipe ~cloexec:true () in
@@ -533,7 +534,7 @@ let start ?(config = default_config) ?registry ?stats sockaddr =
       config;
       registry;
       stats;
-      batcher = batcher_of_config ~stats config;
+      batcher;
       listen_fd;
       bound;
       unix_path;

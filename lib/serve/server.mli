@@ -24,12 +24,12 @@
     {!Engine.predict_batch}) and answers a typed
     [Error { code = Deadline_exceeded; _ }].
 
-    {b Dynamic batching.}  Predict requests from {e all} connections
-    are coalesced by a shared {!Batcher} into merged engine calls
-    under a [batch_window_us] / [batch_max] policy; replies are
-    bit-identical to unbatched serving (see {!Batcher}), deadlines
-    stay anchored where they were, and [batch_window_us = 0] restores
-    the inline engine call.
+    {b Dynamic batching.}  Every predict goes through a shared
+    {!Batcher}, which coalesces requests from {e all} connections into
+    merged engine calls under a [batch_window_us] / [batch_max]
+    policy; replies are bit-identical to unbatched serving (see
+    {!Batcher}), deadlines stay anchored where they were, and
+    [batch_window_us = 0] makes the batcher call the engine inline.
 
     {b Graceful drain.}  {!request_stop} stops accepting but gives
     queued and in-flight requests up to [drain_timeout] to finish
@@ -72,18 +72,15 @@ type config = {
   retry_after_ms : int;
       (** retry hint carried by [Overloaded] replies (default 50) *)
   batch_window_us : int;
-      (** dynamic-batching window in µs: predicts from all connections
-          park in a {!Batcher} for up to this long (idle-edge only, see
-          {!Batcher}) and are coalesced into merged engine calls.
-          [0] serves every request individually (engine called inline);
-          negative (the default) takes
-          {!Cbmf_parallel.Tune.batch_window_us}
-          ([CBMF_BATCH_WINDOW_US], 200 otherwise).  Replies are
-          bit-identical either way. *)
+      (** dynamic-batching window in µs (default 200): predicts from
+          all connections park in the {!Batcher} for up to this long
+          (idle-edge only, see {!Batcher}) and are coalesced into
+          merged engine calls.  [0] serves every request individually,
+          the engine called inline.  Replies are bit-identical either
+          way. *)
   batch_max : int;
-      (** points per merged engine call before an early flush;
-          [<= 0] (the default) takes {!Cbmf_parallel.Tune.batch_max}
-          ([CBMF_BATCH_MAX], 4 engine chunks otherwise) *)
+      (** points per merged engine call before an early flush
+          (default 4 × {!Engine.chunk_size}) *)
 }
 
 val default_config : config
@@ -98,10 +95,10 @@ val serve_fd :
 (** Serve one pre-connected descriptor until the peer hangs up — no
     listener, no threads, same request handling and failure semantics
     as the full server.  [deadline] is the per-request budget in
-    seconds ([0.], the default, disables it).  [batcher] routes this
-    connection's predicts through a shared {!Batcher}, so several
-    [serve_fd] threads coalesce across descriptors exactly like the
-    full server's workers (the caller owns the batcher's lifetime).  A
+    seconds ([0.], the default, disables it).  [batcher] (default: a
+    window-0 batcher, engine inline) is shared across [serve_fd]
+    threads to coalesce across descriptors exactly like the full
+    server's workers (the caller owns the batcher's lifetime).  A
     [Shutdown] request simply ends the connection.  The descriptor is
     closed on return.  This is the socketpair-loopback entry point the
     tests (and embedders) use. *)
@@ -116,7 +113,9 @@ val start :
   t
 (** Bind, listen and spawn the acceptor + workers.  For [ADDR_UNIX] a
     stale socket file is unlinked first; for [ADDR_INET] the socket is
-    [SO_REUSEADDR] and port 0 picks a free port (see {!addr}). *)
+    [SO_REUSEADDR] and port 0 picks a free port (see {!addr}).  Raises
+    [Invalid_argument], before touching any socket, for a negative
+    [batch_window_us] or a [batch_max] below 1. *)
 
 val addr : t -> Unix.sockaddr
 (** The actually bound address. *)

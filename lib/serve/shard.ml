@@ -74,9 +74,12 @@ let place r name =
 (* --- Routed client ----------------------------------------------------
 
    One logical client over N per-shard connections, opened lazily and
-   cached.  Every named operation goes to [place ring name]; a caller
-   who needs an op the convenience layer doesn't wrap grabs the raw
-   per-shard {!Client.t} with [client_for]. *)
+   cached.  [client_for] is the whole call surface: it hands out the
+   connection to the shard owning a name, and callers issue the
+   request with the ordinary {!Client} functions.  A cached connection
+   that {!Client.broken} reports (hangup, timeout, shed, close) is
+   dropped and redialed on the next lookup, so one dead stream costs
+   exactly one failed call. *)
 
 type router = {
   r_ring : ring;
@@ -91,67 +94,25 @@ let router ?vnodes connect ~shards =
 
 let route t ~name = place t.r_ring name
 
-let client_of t i =
-  Mutex.lock t.r_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.r_lock)
-    (fun () ->
+let client_for t ~name =
+  let i = route t ~name in
+  Mutex.protect t.r_lock (fun () ->
       match t.conns.(i) with
-      | Some c -> c
-      | None ->
+      | Some c when not (Client.broken c) -> c
+      | stale ->
+          Option.iter Client.close stale;
+          t.conns.(i) <- None;
           let c = t.connect i in
           t.conns.(i) <- Some c;
           c)
 
-let client_for t ~name = client_of t (route t ~name)
-
-(* A dead shard connection must not poison the cache: on a retryable
-   transport failure the cached connection is dropped so the next call
-   redials. *)
-let with_shard t ~name f =
-  let i = route t ~name in
-  let res = f (client_of t i) in
-  (match res with
-  | Error failure when Client.retryable failure ->
-      Mutex.lock t.r_lock;
-      (match t.conns.(i) with
-      | Some c ->
-          Client.close c;
-          t.conns.(i) <- None
-      | None -> ());
-      Mutex.unlock t.r_lock
-  | _ -> ());
-  res
-
-let predict_typed t ~name ~states ~xs =
-  with_shard t ~name (fun c -> Client.predict_typed c ~name ~states ~xs)
-
-let predict_deadline t ~name ~states ~xs ~deadline_ms =
-  with_shard t ~name (fun c ->
-      Client.predict_deadline c ~name ~states ~xs ~deadline_ms)
-
-let predict_many t ~name reqs =
-  Client.predict_many (client_for t ~name) ~name reqs
-
-let load_inline t ~name ~image =
-  Client.load_inline (client_for t ~name) ~name ~image
-
-let load_path t ~name ~path = Client.load_path (client_for t ~name) ~name ~path
-
-let reload_inline t ~name ~image =
-  with_shard t ~name (fun c -> Client.reload_inline c ~name ~image)
-
-let reload_path t ~name ~path =
-  with_shard t ~name (fun c -> Client.reload_path c ~name ~path)
-
 let close_router t =
-  Mutex.lock t.r_lock;
-  Array.iteri
-    (fun i c ->
-      Option.iter Client.close c;
-      t.conns.(i) <- None)
-    t.conns;
-  Mutex.unlock t.r_lock
+  Mutex.protect t.r_lock (fun () ->
+      Array.iteri
+        (fun i c ->
+          Option.iter Client.close c;
+          t.conns.(i) <- None)
+        t.conns)
 
 (* --- Multi-process cluster --------------------------------------------
 
@@ -205,25 +166,14 @@ let wait_ready ?(timeout = 10.0) c =
   let cutoff = Unix.gettimeofday () +. timeout in
   Array.iter
     (fun addr ->
-      let rec try_ping () =
-        let ok =
-          match Client.connect ~timeout:1.0 addr with
-          | exception Unix.Unix_error _ -> false
-          | cl ->
-              Fun.protect
-                ~finally:(fun () -> Client.close cl)
-                (fun () ->
-                  match Client.ping cl with Ok _ -> true | Error _ -> false)
-        in
-        if not ok then
-          if Unix.gettimeofday () >= cutoff then
-            failwith "Shard.wait_ready: shard did not come up"
-          else begin
-            Thread.delay 0.02;
-            try_ping ()
-          end
-      in
-      try_ping ())
+      while
+        Result.is_error
+          (Client.with_failover ~attempts:1 ~timeout:1.0 [ addr ] Client.ping)
+      do
+        if Unix.gettimeofday () >= cutoff then
+          failwith "Shard.wait_ready: shard did not come up";
+        Thread.delay 0.02
+      done)
     c.c_addrs
 
 let connect ?timeout c =

@@ -12,8 +12,8 @@
     Three layers, composable independently:
     - {!ring}/{!place} — the bare placement function;
     - {!router} — one logical client over N per-shard connections
-      (lazily dialed, cached, redialed after transport failures),
-      routing every named operation to its owner;
+      (lazily dialed, cached, redialed once {!Client.broken}), handing
+      out the owner's connection for every named operation;
     - {!start}/{!connect}/{!stop} — a fork-per-shard cluster of full
       {!Server}s on Unix-domain sockets ["<base>.shard-<i>"].
 
@@ -50,42 +50,12 @@ val router : ?vnodes:int -> (int -> Client.t) -> shards:int -> router
 val route : router -> name:string -> int
 
 val client_for : router -> name:string -> Client.t
-(** The (cached) connection to the shard owning [name], for operations
-    the convenience wrappers below don't cover. *)
-
-val predict_typed :
-  router ->
-  name:string ->
-  states:int array ->
-  xs:Cbmf_linalg.Mat.t ->
-  (float array * float array, Client.failure) result
-
-val predict_deadline :
-  router ->
-  name:string ->
-  states:int array ->
-  xs:Cbmf_linalg.Mat.t ->
-  deadline_ms:int ->
-  (float array * float array, Client.failure) result
-
-val predict_many :
-  router ->
-  name:string ->
-  (int array * Cbmf_linalg.Mat.t) list ->
-  (float array * float array, Client.failure) result list
-(** {!Client.predict_many} on the owning shard's connection. *)
-
-val load_inline :
-  router -> name:string -> image:string -> (int * int * int, string) result
-
-val load_path :
-  router -> name:string -> path:string -> (int * int * int, string) result
-
-val reload_inline :
-  router -> name:string -> image:string -> (int * int * int * int, Client.failure) result
-
-val reload_path :
-  router -> name:string -> path:string -> (int * int * int * int, Client.failure) result
+(** The cached connection to the shard owning [name] — the router's
+    whole call surface:
+    [Client.predict_typed (Shard.client_for r ~name) ~name ~states ~xs].
+    A cached connection that {!Client.broken} reports is closed and
+    redialed here, so after a lost stream or a shed the next call goes
+    through a fresh dial.  Raises whatever the dial function raises. *)
 
 val close_router : router -> unit
 (** Close and drop every cached connection (the router stays usable —

@@ -7,9 +7,9 @@ let bucket_edges_us =
 
 let n_buckets = Array.length bucket_edges_us
 
-(* A fixed-bucket histogram with its own count, so any latency phase
-   (or the batch-occupancy distribution, whose "µs" are points) can
-   reuse the same quantile machinery. *)
+(* A fixed-bucket histogram with its own count: request latency, each
+   latency phase and the batch-occupancy distribution (whose "µs" are
+   points) share the same quantile and JSON machinery. *)
 type hist = { counts : int array; mutable n : int }
 
 let hist_make () = { counts = Array.make n_buckets 0; n = 0 }
@@ -20,8 +20,7 @@ type t = {
   mutable errors : int;
   mutable points : int;
   mutable max_batch : int;
-  hist : int array;
-  mutable total : int;
+  latency : hist;
   mutable sheds : int;  (* connections refused by admission control *)
   mutable deadlines : int;  (* requests answered Deadline_exceeded *)
   mutable queue_depth : int;  (* gauge: pending connections right now *)
@@ -48,8 +47,7 @@ let create () =
     errors = 0;
     points = 0;
     max_batch = 0;
-    hist = Array.make n_buckets 0;
-    total = 0;
+    latency = hist_make ();
     sheds = 0;
     deadlines = 0;
     queue_depth = 0;
@@ -72,6 +70,10 @@ let bucket_of_us us =
   while us > bucket_edges_us.(!i) do incr i done;
   !i
 
+let hist_add h v =
+  h.counts.(bucket_of_us v) <- h.counts.(bucket_of_us v) + 1;
+  h.n <- h.n + 1
+
 let record ?batch t ~op ~ok ~seconds =
   locked t (fun () ->
       Hashtbl.replace t.ops op
@@ -82,13 +84,7 @@ let record ?batch t ~op ~ok ~seconds =
           t.points <- t.points + b;
           if b > t.max_batch then t.max_batch <- b
       | None -> ());
-      let us = Float.max 0.0 (seconds *. 1e6) in
-      t.hist.(bucket_of_us us) <- t.hist.(bucket_of_us us) + 1;
-      t.total <- t.total + 1)
-
-let hist_add h v =
-  h.counts.(bucket_of_us v) <- h.counts.(bucket_of_us v) + 1;
-  h.n <- h.n + 1
+      hist_add t.latency (Float.max 0.0 (seconds *. 1e6)))
 
 let record_queue_wait t ~seconds =
   locked t (fun () -> hist_add t.queue_wait (Float.max 0.0 (seconds *. 1e6)))
@@ -120,118 +116,101 @@ let sheds t = locked t (fun () -> t.sheds)
 
 let deadlines t = locked t (fun () -> t.deadlines)
 
-let counts_quantile counts total q =
-  if total = 0 then 0.0
+let hist_quantile h q =
+  if h.n = 0 then 0.0
   else begin
-    let target = Float.of_int total *. q in
+    let target = Float.of_int h.n *. q in
     let acc = ref 0 in
     let i = ref 0 in
-    while !i < n_buckets - 1 && Float.of_int (!acc + counts.(!i)) < target do
-      acc := !acc + counts.(!i);
+    while !i < n_buckets - 1 && Float.of_int (!acc + h.counts.(!i)) < target do
+      acc := !acc + h.counts.(!i);
       incr i
     done;
     bucket_edges_us.(!i)
   end
 
-let quantile_unlocked t q = counts_quantile t.hist t.total q
-
-let quantile_us t q = locked t (fun () -> quantile_unlocked t q)
+let quantile_us t q = locked t (fun () -> hist_quantile t.latency q)
 
 let phase_quantile t which q =
   locked t (fun () ->
-      let h =
-        match which with
+      hist_quantile
+        (match which with
         | `Queue_wait -> t.queue_wait
         | `Batch_wait -> t.batch_wait
         | `Compute -> t.compute
-        | `Occupancy -> t.occupancy
-      in
-      counts_quantile h.counts h.n q)
+        | `Occupancy -> t.occupancy)
+        q)
 
 let json_float f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
   else Printf.sprintf "%g" f
 
+(* [{<lead>"p50<unit>":..,"p99<unit>":..,"buckets":[[edge,count],..]}]
+   with only the non-empty buckets; [lead] defaults to the count. *)
+let hist_json ?lead ?(unit = "") h =
+  let lead =
+    match lead with Some l -> l | None -> Printf.sprintf "\"count\":%d," h.n
+  in
+  let buckets =
+    List.filter_map
+      (fun i ->
+        if h.counts.(i) = 0 then None
+        else
+          let edge =
+            if Float.is_finite bucket_edges_us.(i) then
+              json_float bucket_edges_us.(i)
+            else "\"inf\""
+          in
+          Some (Printf.sprintf "[%s,%d]" edge h.counts.(i)))
+      (List.init n_buckets Fun.id)
+  in
+  Printf.sprintf "{%s\"p50%s\":%s,\"p99%s\":%s,\"buckets\":[%s]}" lead
+    unit
+    (json_float (hist_quantile h 0.5))
+    unit
+    (json_float (hist_quantile h 0.99))
+    (String.concat "," buckets)
+
 let to_json ?(extra = []) t =
   locked t (fun () ->
-      let buf = Buffer.create 512 in
-      Buffer.add_string buf "{\"requests\":{";
       let ops =
         Hashtbl.fold (fun op n acc -> (op, n) :: acc) t.ops []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        |> List.map (fun (op, n) -> Printf.sprintf "%S:%d" op n)
       in
-      List.iteri
-        (fun i (op, n) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "%S:%d" op n))
-        ops;
-      Buffer.add_string buf "},";
-      Buffer.add_string buf (Printf.sprintf "\"errors\":%d," t.errors);
-      Buffer.add_string buf (Printf.sprintf "\"points\":%d," t.points);
-      Buffer.add_string buf (Printf.sprintf "\"max_batch\":%d," t.max_batch);
-      Buffer.add_string buf (Printf.sprintf "\"sheds\":%d," t.sheds);
-      Buffer.add_string buf
-        (Printf.sprintf "\"deadline_exceeded\":%d," t.deadlines);
-      Buffer.add_string buf (Printf.sprintf "\"queue_depth\":%d," t.queue_depth);
-      Buffer.add_string buf (Printf.sprintf "\"queue_peak\":%d," t.queue_peak);
-      Buffer.add_string buf "\"latency_us\":{";
-      Buffer.add_string buf
-        (Printf.sprintf "\"count\":%d,\"p50\":%s,\"p99\":%s,\"buckets\":["
-           t.total
-           (json_float (quantile_unlocked t 0.5))
-           (json_float (quantile_unlocked t 0.99)));
-      let add_buckets counts =
-        let first = ref true in
-        for i = 0 to n_buckets - 1 do
-          if counts.(i) > 0 then begin
-            if not !first then Buffer.add_char buf ',';
-            first := false;
-            let edge =
-              if Float.is_finite bucket_edges_us.(i) then
-                json_float bucket_edges_us.(i)
-              else "\"inf\""
-            in
-            Buffer.add_string buf (Printf.sprintf "[%s,%d]" edge counts.(i))
-          end
-        done
+      let members =
+        [
+          ("requests", "{" ^ String.concat "," ops ^ "}");
+          ("errors", string_of_int t.errors);
+          ("points", string_of_int t.points);
+          ("max_batch", string_of_int t.max_batch);
+          ("sheds", string_of_int t.sheds);
+          ("deadline_exceeded", string_of_int t.deadlines);
+          ("queue_depth", string_of_int t.queue_depth);
+          ("queue_peak", string_of_int t.queue_peak);
+          ("latency_us", hist_json t.latency);
+          (* Latency split: where a request's time went — admission
+             queue, batcher park, engine compute. *)
+          ( "phases",
+            Printf.sprintf
+              "{\"queue_wait_us\":%s,\"batch_wait_us\":%s,\"compute_us\":%s}"
+              (hist_json t.queue_wait) (hist_json t.batch_wait)
+              (hist_json t.compute) );
+          (* Points per merged engine call (bucket edges are point
+             counts here, not µs). *)
+          ( "batch_occupancy",
+            hist_json ~unit:"_points"
+              ~lead:
+                (Printf.sprintf
+                   "\"flushes\":%d,\"coalesced_requests\":%d,\"max_points\":%d,"
+                   t.flushes t.coalesced t.max_occupancy)
+              t.occupancy );
+        ]
+        @ extra
       in
-      add_buckets t.hist;
-      Buffer.add_string buf "]}";
-      (* Latency split: where a request's time went — admission queue,
-         batcher park, engine compute. *)
-      let add_phase name h last =
-        Buffer.add_string buf
-          (Printf.sprintf "%S:{\"count\":%d,\"p50\":%s,\"p99\":%s,\"buckets\":["
-             name h.n
-             (json_float (counts_quantile h.counts h.n 0.5))
-             (json_float (counts_quantile h.counts h.n 0.99)));
-        add_buckets h.counts;
-        Buffer.add_string buf (if last then "]}" else "]},")
-      in
-      Buffer.add_string buf ",\"phases\":{";
-      add_phase "queue_wait_us" t.queue_wait false;
-      add_phase "batch_wait_us" t.batch_wait false;
-      add_phase "compute_us" t.compute true;
-      Buffer.add_string buf "},";
-      (* Batch occupancy: points per merged engine call (bucket edges
-         are point counts here, not µs). *)
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"batch_occupancy\":{\"flushes\":%d,\"coalesced_requests\":%d,\
-            \"max_points\":%d,\"p50_points\":%s,\"p99_points\":%s,\
-            \"buckets\":["
-           t.flushes t.coalesced t.max_occupancy
-           (json_float (counts_quantile t.occupancy.counts t.occupancy.n 0.5))
-           (json_float (counts_quantile t.occupancy.counts t.occupancy.n 0.99)));
-      add_buckets t.occupancy.counts;
-      Buffer.add_string buf "]}";
-      List.iter
-        (fun (name, value) ->
-          Buffer.add_string buf (Printf.sprintf ",%S:%s" name value))
-        extra;
-      Buffer.add_char buf '}';
-      Buffer.contents buf)
+      let member (name, value) = Printf.sprintf "%S:%s" name value in
+      "{" ^ String.concat "," (List.map member members) ^ "}")
 
 let registry_json (r : Registry.stats) =
   Printf.sprintf

@@ -19,14 +19,6 @@ type t = {
   mutable thread : Thread.t option;
 }
 
-let ping_ok ~timeout addr =
-  match Client.connect ~timeout addr with
-  | exception _ -> false
-  | c ->
-      let ok = match Client.ping c with Ok _ -> true | Error _ -> false in
-      Client.close c;
-      ok
-
 (* Replace a replica's server.  Stopping the old one first is safe
    even when it already died (Server.stop is idempotent) and releases
    its listening socket so a fixed address can be rebound.  [make]
@@ -51,7 +43,10 @@ let check_replica t r =
   let addr = Mutex.protect t.lock (fun () -> r.r_addr) in
   let alive =
     match addr with
-    | Some a -> ping_ok ~timeout:t.ping_timeout a
+    | Some a ->
+        Result.is_ok
+          (Client.with_failover ~attempts:1 ~timeout:t.ping_timeout [ a ]
+             Client.ping)
     | None -> false
   in
   Mutex.protect t.lock (fun () ->

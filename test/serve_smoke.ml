@@ -122,27 +122,28 @@ let () =
     let bxs = Mat.init b dim (fun i j -> Mat.get xs (off + i) j) in
     let bstates = Array.sub states off b in
     let lm, ls = Engine.predict_batch model ~states:bstates ~xs:bxs in
-    match Client.predict c ~name:"lna" ~states:bstates ~xs:bxs with
+    match Client.predict_typed c ~name:"lna" ~states:bstates ~xs:bxs with
     | Ok (rm, rs) -> if not (bits_eq lm rm && bits_eq ls rs) then served_ok := false
     | Error _ -> served_ok := false
   done;
   check "100 batched requests served bit-identically" !served_ok;
 
   (* Unknown model: typed error, connection stays up. *)
-  (match Client.predict c ~name:"nope" ~states:[| 0 |] ~xs:(Mat.create 1 dim) with
-  | Error msg ->
-      check "unknown model -> model-not-found"
-        (String.length msg >= 15 && String.sub msg 0 15 = "model-not-found")
-  | Ok _ -> check "unknown model rejected" false);
+  (match
+     Client.predict_typed c ~name:"nope" ~states:[| 0 |] ~xs:(Mat.create 1 dim)
+   with
+  | Error (Client.Server_error { code = Protocol.Model_not_found; _ }) -> ()
+  | _ -> check "unknown model -> model-not-found" false);
 
   (* Injection-armed decode: typed error reply, server stays alive. *)
   Cbmf_robust.Inject.arm ~prob:1.0 ~sites:[ "serve.decode" ] ();
   let image = Snapshot.encode model in
-  (match Client.load_inline c ~name:"injected" ~image with
-  | Error msg ->
-      check "injected decode fault -> bad-snapshot reply"
-        (String.length msg >= 12 && String.sub msg 0 12 = "bad-snapshot")
-  | Ok _ -> check "injected decode fault rejected" false);
+  (match
+     Client.call c
+       (Protocol.Load { name = "injected"; source = Protocol.Inline image })
+   with
+  | Error (Client.Server_error { code = Protocol.Bad_snapshot; _ }) -> ()
+  | _ -> check "injected decode fault -> bad-snapshot reply" false);
   Cbmf_robust.Inject.disarm ();
   (match Client.load_inline c ~name:"inline" ~image with
   | Ok _ -> ()
@@ -154,11 +155,13 @@ let () =
   | _ -> check "malformed frame -> bad-frame reply" false);
 
   (* The same connection still serves after the bad frame. *)
-  (match Client.predict c ~name:"lna" ~states:[| 0 |]
+  (match Client.predict_typed c ~name:"lna" ~states:[| 0 |]
            ~xs:(Mat.init 1 dim (fun _ j -> points.(0).(j)))
   with
   | Ok _ -> ()
-  | Error e -> check ("connection survives bad frame: " ^ e) false);
+  | Error f ->
+      check ("connection survives bad frame: " ^ Client.failure_to_string f)
+        false);
 
   (* Stats JSON: schema spot-checks. *)
   (match Client.stats c with

@@ -97,7 +97,11 @@ let () =
   (* Load through the router: each model lands on its hash owner. *)
   Array.iteri
     (fun j m ->
-      match Shard.load_inline router ~name:(name j) ~image:(Snapshot.encode m) with
+      match
+        Client.load_inline
+          (Shard.client_for router ~name:(name j))
+          ~name:(name j) ~image:(Snapshot.encode m)
+      with
       | Ok (n_active, n_states, _) ->
           check "load reports shape"
             (n_active = Model.n_active m && n_states = m.Model.n_states)
@@ -133,7 +137,11 @@ let () =
       let xs = Mat.init 6 m.Model.input_dim (fun _ _ -> g ()) in
       let states = Array.init 6 (fun s -> s mod m.Model.n_states) in
       let em, es = Engine.predict_batch m ~states ~xs in
-      match Shard.predict_typed router ~name:(name j) ~states ~xs with
+      match
+        Client.predict_typed
+          (Shard.client_for router ~name:(name j))
+          ~name:(name j) ~states ~xs
+      with
       | Ok (rm, rs) ->
           check "routed predict bit-identical" (bits_eq em rm && bits_eq es rs)
       | Error f ->
@@ -159,7 +167,9 @@ let () =
       | Ok (rm, rs) -> if not (bits_eq em rm && bits_eq es rs) then many_ok := false
       | Error _ -> many_ok := false)
     reqs
-    (Shard.predict_many router ~name:(name 0) reqs);
+    (Client.predict_many
+       (Shard.client_for router ~name:(name 0))
+       ~name:(name 0) reqs);
   check "predict_many bit-identical slot for slot" !many_ok;
 
   (* Hot reload: slot generation bumps, placement does not move, the
@@ -167,7 +177,11 @@ let () =
   let m2 =
     { m0 with Model.y_means = Array.map (fun v -> v +. 1.0) m0.Model.y_means }
   in
-  (match Shard.reload_inline router ~name:(name 0) ~image:(Snapshot.encode m2) with
+  (match
+     Client.reload_inline
+       (Shard.client_for router ~name:(name 0))
+       ~name:(name 0) ~image:(Snapshot.encode m2)
+   with
   | Ok (generation, _, _, _) ->
       check "reload bumped the slot generation" (generation = 2)
   | Error f -> check ("reload: " ^ Client.failure_to_string f) false);
@@ -176,7 +190,11 @@ let () =
   let xs = Mat.init 4 m2.Model.input_dim (fun _ _ -> g ()) in
   let states = Array.init 4 (fun s -> s mod m2.Model.n_states) in
   let em, es = Engine.predict_batch m2 ~states ~xs in
-  (match Shard.predict_typed router ~name:(name 0) ~states ~xs with
+  (match
+     Client.predict_typed
+       (Shard.client_for router ~name:(name 0))
+       ~name:(name 0) ~states ~xs
+   with
   | Ok (rm, rs) ->
       check "serving the reloaded model bitwise" (bits_eq em rm && bits_eq es rs)
   | Error f -> check ("post-reload predict: " ^ Client.failure_to_string f) false);

@@ -774,22 +774,23 @@ let test_loopback_serving () =
       let xs = Mat.init n m.Model.input_dim (fun _ _ -> g ()) in
       let states = Array.init n (fun i -> i mod m.Model.n_states) in
       let lm, ls = Engine.predict_batch m ~states ~xs in
-      (match Client.predict c ~name:"m" ~states ~xs with
+      (match Client.predict_typed c ~name:"m" ~states ~xs with
       | Ok (rm, rs) ->
           check_true "served predictions bit-identical"
             (bits_eq lm rm && bits_eq ls rs)
-      | Error e -> Alcotest.failf "predict: %s" e);
+      | Error f -> Alcotest.failf "predict: %s" (Client.failure_to_string f));
       (* Inline load, then predict against the shipped model. *)
       (match Client.load_inline c ~name:"w" ~image:(Snapshot.encode m) with
       | Ok (n_active, n_states, _) ->
           check_true "loaded shape"
             (n_active = Model.n_active m && n_states = m.Model.n_states)
       | Error e -> Alcotest.failf "load_inline: %s" e);
-      (match Client.predict c ~name:"w" ~states ~xs with
+      (match Client.predict_typed c ~name:"w" ~states ~xs with
       | Ok (rm, rs) ->
           check_true "inline-loaded model serves identically"
             (bits_eq lm rm && bits_eq ls rs)
-      | Error e -> Alcotest.failf "predict after load: %s" e);
+      | Error f ->
+          Alcotest.failf "predict after load: %s" (Client.failure_to_string f));
       Client.shutdown c)
 
 let test_loopback_errors () =
@@ -797,9 +798,8 @@ let test_loopback_errors () =
   let registry = Registry.create () in
   Registry.put registry ~name:"m" m;
   with_loopback registry (fun c ->
-      let expect_code name code reply =
-        match reply with
-        | Protocol.Error { code = got; _ } when got = code -> ()
+      let expect_code name code = function
+        | Error (Client.Server_error { code = got; _ }) when got = code -> ()
         | _ -> Alcotest.failf "%s: expected %s" name (Protocol.error_code_name code)
       in
       (* Unknown model. *)
@@ -823,11 +823,16 @@ let test_loopback_errors () =
                (Protocol.Load
                   { name = "x"; source = Protocol.Inline (Snapshot.encode m) })));
       (* Malformed frame: typed error, connection survives. *)
-      expect_code "malformed frame" Protocol.Bad_frame
-        (Client.send_raw c "\xde\xad\xbe\xef");
-      (match Client.predict c ~name:"m" ~states:[| 1 |] ~xs:(Mat.create 1 4) with
+      (match Client.send_raw c "\xde\xad\xbe\xef" with
+      | Protocol.Error { code = Protocol.Bad_frame; _ } -> ()
+      | _ -> Alcotest.fail "malformed frame: expected bad-frame");
+      (match
+         Client.predict_typed c ~name:"m" ~states:[| 1 |] ~xs:(Mat.create 1 4)
+       with
       | Ok _ -> ()
-      | Error e -> Alcotest.failf "connection died after bad frame: %s" e);
+      | Error f ->
+          Alcotest.failf "connection died after bad frame: %s"
+            (Client.failure_to_string f));
       (* Stats blob reaches the client. *)
       (match Client.stats c with
       | Ok json ->
@@ -872,12 +877,12 @@ let test_loopback_deadline () =
       let states = Array.init n (fun i -> i mod m.Model.n_states) in
       let lm, ls = Engine.predict_batch m ~states ~xs in
       (* Generous client budget: identical answer. *)
-      (match Client.predict_deadline c ~name:"m" ~states ~xs ~deadline_ms:60_000 with
+      (match Client.predict_typed ~deadline_ms:60_000 c ~name:"m" ~states ~xs with
       | Ok (rm, rs) ->
           check_true "deadline predict bit-identical" (bits_eq lm rm && bits_eq ls rs)
       | Error f -> Alcotest.failf "deadline predict: %s" (Client.failure_to_string f));
       (* Zero budget: typed Deadline_exceeded, not a hang or a hangup. *)
-      (match Client.predict_deadline c ~name:"m" ~states ~xs ~deadline_ms:0 with
+      (match Client.predict_typed ~deadline_ms:0 c ~name:"m" ~states ~xs with
       | Error (Client.Server_error { code = Protocol.Deadline_exceeded; _ }) -> ()
       | Ok _ -> Alcotest.fail "zero deadline succeeded"
       | Error f ->
@@ -970,6 +975,46 @@ let test_client_connection_lost () =
              (Client.Server_error
                 { code = Protocol.Model_not_found; message = "" })))
     && not (Client.retryable (Client.Unexpected "x")))
+
+let test_client_stale_reply () =
+  (* A fake server answers the first request only after the client's
+     receive timeout, then answers the second at once.  The timed-out
+     client must stay lost: reading on would hand it the first
+     request's late reply as the answer to the second. *)
+  let srv_fd, cl_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float cl_fd Unix.SO_RCVTIMEO 0.05;
+  let reply mean = Protocol.Predicted { means = [| mean |]; sds = [| 0.0 |] } in
+  let th =
+    Thread.create
+      (fun () ->
+        (try
+           ignore (Protocol.read_frame srv_fd);
+           Thread.delay 0.2;
+           Protocol.write_reply srv_fd (reply 1.0);
+           ignore (Protocol.read_frame srv_fd);
+           Protocol.write_reply srv_fd (reply 2.0)
+         with Protocol.Closed | Unix.Unix_error _ -> ());
+        Unix.close srv_fd)
+      ()
+  in
+  let c = Client.of_fd cl_fd in
+  let predict () =
+    Client.predict_typed c ~name:"m" ~states:[| 0 |] ~xs:(Mat.create 1 4)
+  in
+  (match predict () with
+  | Error (Client.Connection_lost _) -> ()
+  | _ -> Alcotest.fail "first request did not time out");
+  Thread.delay 0.3 (* the late reply is now waiting in the socket *);
+  (match predict () with
+  | Error (Client.Connection_lost _) -> ()
+  | Ok (means, _) ->
+      Alcotest.failf "reused client answered with mean=%g" means.(0)
+  | Error f ->
+      Alcotest.failf "expected Connection_lost, got %s"
+        (Client.failure_to_string f));
+  check_true "client reports itself broken" (Client.broken c);
+  Client.close c;
+  Thread.join th
 
 (* --- Full server: admission control, drain, failover ------------------ *)
 
@@ -1320,7 +1365,10 @@ let test_batcher_window_zero () =
      merged flush is ever recorded. *)
   let m = synth_model ~dim:5 ~k:3 ~a:8 () in
   let stats = Stats.create () in
-  let b = Batcher.create ~stats ~window_us:0 () in
+  let b =
+    Batcher.create ~stats ~window_us:0
+      ~max_points:Server.default_config.batch_max ()
+  in
   let reqs = batch_requests m 4 in
   Array.iter
     (fun (states, xs, (em, es)) ->
@@ -1414,6 +1462,19 @@ let test_batcher_validation_isolation () =
         (Printexc.to_string e)
   | Ok _ -> Alcotest.fail "bad request succeeded"
 
+let test_batcher_invalid_policy () =
+  check_raises_invalid "negative window" (fun () ->
+      Batcher.create ~window_us:(-1) ~max_points:8 ());
+  check_raises_invalid "cap below 1" (fun () ->
+      Batcher.create ~window_us:0 ~max_points:0 ());
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "bad-policy.sock" in
+      check_raises_invalid "server with a negative window" (fun () ->
+          Server.start
+            ~config:{ Server.default_config with batch_window_us = -1 }
+            (Unix.ADDR_UNIX path));
+      check_true "nothing bound for a bad policy" (not (Sys.file_exists path)))
+
 let test_batcher_cross_connection () =
   (* The server-level contract: several serve_fd connections sharing
      one batcher coalesce across descriptors, and every wire reply is
@@ -1465,6 +1526,34 @@ let test_batcher_cross_connection () =
     reqs;
   check_true "connections coalesced into merged calls"
     (Stats.phase_quantile stats `Occupancy 0.5 > 7.0)
+
+(* --- Stats JSON --------------------------------------------------------- *)
+
+let test_stats_json_golden () =
+  (* The stats JSON bytes for a fixed sequence of records: the e2e
+     benchmark parses the latency and phase buckets, so every
+     histogram must keep rendering exactly like this. *)
+  let s = Stats.create () in
+  Alcotest.(check string) "empty stats JSON"
+    "{\"requests\":{},\"errors\":0,\"points\":0,\"max_batch\":0,\"sheds\":0,\"deadline_exceeded\":0,\"queue_depth\":0,\"queue_peak\":0,\"latency_us\":{\"count\":0,\"p50\":0,\"p99\":0,\"buckets\":[]},\"phases\":{\"queue_wait_us\":{\"count\":0,\"p50\":0,\"p99\":0,\"buckets\":[]},\"batch_wait_us\":{\"count\":0,\"p50\":0,\"p99\":0,\"buckets\":[]},\"compute_us\":{\"count\":0,\"p50\":0,\"p99\":0,\"buckets\":[]}},\"batch_occupancy\":{\"flushes\":0,\"coalesced_requests\":0,\"max_points\":0,\"p50_points\":0,\"p99_points\":0,\"buckets\":[]}}"
+    (Stats.to_json s);
+  Stats.record s ~batch:8 ~op:"predict" ~ok:true ~seconds:0.0004;
+  Stats.record s ~op:"predict" ~ok:false ~seconds:0.003;
+  Stats.record s ~op:"load" ~ok:true ~seconds:0.02;
+  Stats.record s ~op:"ping" ~ok:true ~seconds:0.0;
+  Stats.record s ~batch:3 ~op:"predict" ~ok:true ~seconds:100.0;
+  Stats.record_shed s;
+  Stats.record_deadline s;
+  Stats.set_queue_depth s 3;
+  Stats.set_queue_depth s 1;
+  Stats.record_queue_wait s ~seconds:0.00015;
+  Stats.record_batch_phase s ~batch_wait:0.0002 ~compute:0.0011;
+  Stats.record_batch_phase s ~batch_wait:0.0 ~compute:0.0008;
+  Stats.record_flush s ~requests:2 ~points:11;
+  Stats.record_flush s ~requests:1 ~points:0;
+  Alcotest.(check string) "recorded stats JSON"
+    "{\"requests\":{\"load\":1,\"ping\":1,\"predict\":3},\"errors\":1,\"points\":11,\"max_batch\":8,\"sheds\":1,\"deadline_exceeded\":1,\"queue_depth\":1,\"queue_peak\":3,\"latency_us\":{\"count\":5,\"p50\":5000,\"p99\":inf,\"buckets\":[[1,1],[500,1],[5000,1],[20000,1],[\"inf\",1]]},\"phases\":{\"queue_wait_us\":{\"count\":1,\"p50\":200,\"p99\":200,\"buckets\":[[200,1]]},\"batch_wait_us\":{\"count\":2,\"p50\":1,\"p99\":200,\"buckets\":[[1,1],[200,1]]},\"compute_us\":{\"count\":2,\"p50\":1000,\"p99\":2000,\"buckets\":[[1000,1],[2000,1]]}},\"batch_occupancy\":{\"flushes\":2,\"coalesced_requests\":3,\"max_points\":11,\"p50_points\":1,\"p99_points\":20,\"buckets\":[[1,1],[20,1]]},\"registry\":{\"hits\":1}}"
+    (Stats.to_json ~extra:[ ("registry", "{\"hits\":1}") ] s)
 
 (* --- Pipelined client ------------------------------------------------- *)
 
@@ -1603,7 +1692,8 @@ let test_shard_routing_inproc () =
         (fun j m ->
           let name = Printf.sprintf "model-%d" j in
           (match
-             Shard.load_inline router ~name ~image:(Snapshot.encode m)
+             Client.load_inline (Shard.client_for router ~name) ~name
+               ~image:(Snapshot.encode m)
            with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "load %s: %s" name e);
@@ -1617,7 +1707,10 @@ let test_shard_routing_inproc () =
           let xs = Mat.init 6 m.Model.input_dim (fun _ _ -> g ()) in
           let states = Array.init 6 (fun s -> s mod m.Model.n_states) in
           let em, es = Engine.predict_batch m ~states ~xs in
-          match Shard.predict_typed router ~name ~states ~xs with
+          match
+            Client.predict_typed (Shard.client_for router ~name) ~name ~states
+              ~xs
+          with
           | Ok (rm, rs) ->
               check_true "routed predict bit-identical"
                 (bits_eq em rm && bits_eq es rs)
@@ -1641,7 +1734,10 @@ let test_shard_reload_stable () =
   let m2 = synth_model ~dim:5 ~k:3 ~a:8 () in
   with_inproc_shards 2 (fun router regs ->
       let name = "hot-model" in
-      (match Shard.load_inline router ~name ~image:(Snapshot.encode m1) with
+      (match
+         Client.load_inline (Shard.client_for router ~name) ~name
+           ~image:(Snapshot.encode m1)
+       with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "load: %s" e);
       let owner = Shard.route router ~name in
@@ -1649,12 +1745,17 @@ let test_shard_reload_stable () =
       let states = Array.init 5 (fun s -> s mod m1.Model.n_states) in
       let check_serving tag m =
         let em, es = Engine.predict_batch m ~states ~xs in
-        match Shard.predict_typed router ~name ~states ~xs with
+        match
+          Client.predict_typed (Shard.client_for router ~name) ~name ~states ~xs
+        with
         | Ok (rm, rs) -> check_true tag (bits_eq em rm && bits_eq es rs)
         | Error f -> Alcotest.failf "%s: %s" tag (Client.failure_to_string f)
       in
       check_serving "serving m1 before reload" m1;
-      (match Shard.reload_inline router ~name ~image:(Snapshot.encode m2) with
+      (match
+         Client.reload_inline (Shard.client_for router ~name) ~name
+           ~image:(Snapshot.encode m2)
+       with
       | Ok (generation, _, _, _) ->
           check_int "reload bumped the slot generation" 2 generation
       | Error f -> Alcotest.failf "reload: %s" (Client.failure_to_string f));
@@ -1666,6 +1767,114 @@ let test_shard_reload_stable () =
             ((Registry.find reg ~name <> None) = (i = owner)))
         regs;
       check_serving "serving m2 after reload" m2)
+
+(* In-process shards whose dial opens a fresh socketpair and serve_fd
+   thread per connection, so the router can really redial.  [kill i]
+   hangs up the server end of shard [i]'s live connection; [shed i]
+   makes shard [i]'s next dial a connection the server sheds (a typed
+   Overloaded reply, then hangup — what admission control sends). *)
+let with_redialing_shards n f =
+  let regs = Array.init n (fun _ -> Registry.create ()) in
+  let dials = Array.make n 0 in
+  let live = Array.make n None in
+  let shed_next = Array.make n false in
+  let threads = ref [] in
+  let dial i =
+    let srv_fd, cl_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    dials.(i) <- dials.(i) + 1;
+    let serve =
+      if shed_next.(i) then begin
+        shed_next.(i) <- false;
+        fun () ->
+          (try
+             Protocol.write_reply srv_fd
+               (Protocol.Overloaded { queue_depth = 1; retry_after_ms = 1 })
+           with Unix.Unix_error _ -> ());
+          Unix.close srv_fd
+      end
+      else begin
+        live.(i) <- Some srv_fd;
+        fun () -> Server.serve_fd ~registry:regs.(i) srv_fd
+      end
+    in
+    threads := Thread.create serve () :: !threads;
+    Client.of_fd cl_fd
+  in
+  let router = Shard.router ~shards:n dial in
+  let kill i =
+    Option.iter (fun fd -> Unix.shutdown fd Unix.SHUTDOWN_ALL) live.(i);
+    live.(i) <- None
+  in
+  let shed i =
+    shed_next.(i) <- true;
+    Shard.close_router router
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Shard.close_router router;
+      List.iter Thread.join !threads)
+    (fun () -> f router ~dials ~kill ~shed)
+
+let test_shard_redial () =
+  (* After a lost stream or a shed, the first routed call fails with a
+     retryable failure and the next one goes through a fresh dial and
+     answers bit-identically — for every kind of routed request. *)
+  let m = synth_model ~dim:5 ~k:3 ~a:8 () in
+  let image = Snapshot.encode m in
+  let xs = Mat.init 4 m.Model.input_dim (fun _ _ -> g ()) in
+  let states = Array.init 4 (fun s -> s mod m.Model.n_states) in
+  let em, es = Engine.predict_batch m ~states ~xs in
+  let typed r = Result.map_error Client.failure_to_string r in
+  let answered r =
+    Result.bind (typed r) (fun (rm, rs) ->
+        if bits_eq em rm && bits_eq es rs then Ok ()
+        else Error "reply not bit-identical")
+  in
+  let ops =
+    [
+      ( "load_inline",
+        fun c ~name -> Result.map ignore (Client.load_inline c ~name ~image) );
+      ( "predict_typed",
+        fun c ~name -> answered (Client.predict_typed c ~name ~states ~xs) );
+      ( "predict_many",
+        fun c ~name ->
+          List.fold_left
+            (fun acc r -> Result.bind acc (fun () -> answered r))
+            (Ok ())
+            (Client.predict_many c ~name [ (states, xs); (states, xs) ]) );
+      ( "reload_inline",
+        fun c ~name ->
+          Result.map ignore (typed (Client.reload_inline c ~name ~image)) );
+    ]
+  in
+  with_redialing_shards 2 (fun router ~dials ~kill ~shed ->
+      let name = "redial-model" in
+      let owner = Shard.route router ~name in
+      List.iter
+        (fun (loss, inflict) ->
+          List.iter
+            (fun (op_name, op) ->
+              let tag = Printf.sprintf "%s after %s" op_name loss in
+              let run () = op (Shard.client_for router ~name) ~name in
+              (match run () with
+              | Ok () -> ()
+              | Error e -> Alcotest.failf "%s: before the loss: %s" tag e);
+              inflict owner;
+              (match run () with
+              | Error e
+                when String.starts_with ~prefix:"connection lost" e
+                     || String.starts_with ~prefix:"overloaded" e ->
+                  ()
+              | Ok () -> Alcotest.failf "%s: the lost connection answered" tag
+              | Error e ->
+                  Alcotest.failf "%s: not a retryable failure: %s" tag e);
+              let before = dials.(owner) in
+              (match run () with
+              | Ok () -> ()
+              | Error e -> Alcotest.failf "%s: after the redial: %s" tag e);
+              check_int (tag ^ ": one fresh dial") (before + 1) dials.(owner))
+            ops)
+        [ ("a server hangup", kill); ("a shed", shed) ])
 
 let suite =
   [ ( "serve.codec",
@@ -1709,11 +1918,13 @@ let suite =
         case "full batch flushes early" test_batcher_early_flush;
         case "deadlines anchored at enqueue" test_batcher_deadline_anchor;
         case "bad request fails alone" test_batcher_validation_isolation;
+        case "invalid policy rejected" test_batcher_invalid_policy;
         case "serve_fd connections coalesce" test_batcher_cross_connection ] );
     ( "serve.shard",
       [ case "ring: deterministic, spread, minimal movement" test_shard_ring;
         case "in-process multi-shard routing" test_shard_routing_inproc;
-        case "reload keeps placement stable" test_shard_reload_stable ] );
+        case "reload keeps placement stable" test_shard_reload_stable;
+        case "router redials after every loss" test_shard_redial ] );
     ( "serve.server",
       [ case "socketpair loopback serving" test_loopback_serving;
         case "typed errors, connection survives" test_loopback_errors;
@@ -1722,10 +1933,13 @@ let suite =
         case "hot reload over the wire" test_loopback_reload;
         case "pipelined predict_many" test_predict_many;
         case "typed Connection_lost" test_client_connection_lost;
+        case "timed-out client stays lost" test_client_stale_reply;
         case "overload sheds with typed reply" test_server_shed_overload;
         case "in-flight request survives stop" test_server_graceful_drain;
         case "drain cutoff bounds stop" test_server_drain_cutoff;
         case "with_failover across replicas" test_with_failover;
         case "supervisor restarts a dead replica" test_supervisor_failover ] );
+    ( "serve.stats",
+      [ case "to_json bytes pinned" test_stats_json_golden ] );
     ( "serve.fault",
       [ case "Bad_snapshot taxonomy integration" test_bad_snapshot_fault ] ) ]
