@@ -4,7 +4,8 @@
      dune exec examples/lna_modeling.exe
 
    Uses reduced sample budgets so the example finishes in ~a minute;
-   `bench/main.exe tab1 fig2` runs the full paper-scale version. *)
+   `cbmf_repro tab lna` and `cbmf_repro fig lna` run the full
+   paper-scale version. *)
 
 open Cbmf_circuit
 open Cbmf_experiments

@@ -272,7 +272,7 @@ let gain_curve_of proc ~state x ~freqs =
 (* The pre-sweep cost model: one netlist construction + one [Mna.ac]
    stamp/factorize per frequency point — what an M-point curve cost
    before {!Mna.ac_sweep} existed.  Kept as the bit-exactness oracle
-   for {!gain_curve} and as the "before" baseline in the bench. *)
+   for {!gain_curve}. *)
 let gain_curve_naive_of proc ~state x ~freqs =
   Array.map
     (fun f ->

@@ -54,4 +54,4 @@ val gain_curve_naive :
   float array
 (** Reference path for {!gain_curve}: rebuilds the netlist and runs a
     full {!Mna.ac} stamp + factorization per frequency.  Bit-identical
-    results; kept as oracle and bench baseline. *)
+    results; kept as the oracle. *)

@@ -56,4 +56,4 @@ val rf_gain_curve_naive :
   float array
 (** Reference path for {!rf_gain_curve}: rebuilds the netlist and runs
     a full {!Mna.ac} stamp + factorization per frequency.
-    Bit-identical results; kept as oracle and bench baseline. *)
+    Bit-identical results; kept as the oracle. *)

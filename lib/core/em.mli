@@ -82,8 +82,8 @@ val run :
     hyper-parameters, the posterior under them, and the trace.
     [posterior] overrides the E-step solver (default:
     {!Posterior.compute} with one shared {!Posterior.workspace} for the
-    whole run) — the bench harness uses this to time alternative
-    posterior implementations through an identical EM loop.
+    whole run) — [bench/e2e] uses this to time each E-step inside
+    the real EM loop.
     [init_hypers] warm-starts the run: the supplied Ω = {λ, R, σ0}
     replaces [prior0] as the first iterate (shape-checked against it),
     [trace.warm_start] records the entry, and everything downstream is

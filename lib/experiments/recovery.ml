@@ -147,6 +147,23 @@ let run_grid ?(n_test = 30) ?(methods = [ `Cbmf; `Uncorrelated; `Somp_ols ])
     specs;
   Array.of_list (List.rev !cells)
 
+let table_spec =
+  {
+    Synthetic.k = 12;
+    m = 31;
+    d = 15;
+    active_per_state = 4;
+    rho = 0.9;
+    noise_sigma = 0.05;
+    density = 0.2;
+    seed = 5;
+  }
+
+let table () =
+  run_grid ~n_test:25
+    ~methods:[ `Cbmf; `Uncorrelated ]
+    ~specs:[| table_spec |] ~budgets:[| 4; 6; 8 |] ()
+
 let pp_cells fmt cells =
   Format.fprintf fmt "%-6s %-4s %-6s %-13s %6s %6s %6s %9s %9s %7s %8s@."
     "K" "d" "n/st" "method" "F1" "prec" "recall" "coef_rmse" "test_err"

@@ -42,8 +42,7 @@ val uncorrelated_config : Synthetic.spec -> Cbmf_core.Cbmf.config
 
 val posterior_path : Synthetic.t -> Dataset.t -> string
 (** Which solver ([`Auto]) the posterior takes on this dataset when
-    restricted to the {e true} support — "dual" or "primal"; the
-    crossover the scaling bench records per (K, d) cell. *)
+    restricted to the {e true} support — "dual" or "primal". *)
 
 val run_method :
   truth:Synthetic.t -> train:Dataset.t -> test:Dataset.t -> method_ -> cell
@@ -61,6 +60,18 @@ val run_grid :
     archive).  [n_test] (default 30) held-out samples per state score
     [test_error].  Cells are ordered spec-major, then budget, then
     method. *)
+
+val table_spec : Synthetic.spec
+(** The correlated, low-budget workload of the recovery table: K = 12
+    states, M = 31, d = 15, 4 active terms, ρ = 0.9, σ = 0.05,
+    seed 5.  Each state alone is underdetermined at these budgets, so
+    sharing across states is what recovers the planted support. *)
+
+val table : unit -> cell array
+(** The recovery table EXPERIMENTS.md reports and
+    [cbmf_repro recovery] prints: [`Cbmf] and [`Uncorrelated] on
+    {!table_spec} at budgets 4, 6 and 8 samples per state, 25
+    held-out samples per state. *)
 
 val pp_cells : Format.formatter -> cell array -> unit
 (** Aligned table, one row per cell. *)

@@ -130,9 +130,9 @@ let add_diag_inplace a c =
 
 (* --- GEMM kernels --------------------------------------------------
    Cache-blocked / register-blocked triple loops.  The naive variants
-   are kept (suffix [_naive]) as oracles for the kernel tests and as
-   "before" baselines for the bench harness; they must stay
-   numerically equivalent (same sums, possibly different rounding).
+   are kept (suffix [_naive]) as oracles for the kernel tests; they
+   must stay numerically equivalent (same sums, possibly different
+   rounding).
 
    Panel parallelism: each blocked kernel is factored into a core that
    computes an output row panel (or column panel for the T·N shapes);

@@ -125,8 +125,7 @@ val matmul_tn : t -> t -> t
     scratch). *)
 
 val matmul_naive : t -> t -> t
-(** Reference triple-loop [a * b]: oracle for the blocked kernels and
-    "before" baseline for the bench harness. *)
+(** Reference triple-loop [a * b]: oracle for the blocked kernels. *)
 
 val matmul_nt_naive : t -> t -> t
 (** Reference row-dot [a * bᵀ] (see {!matmul_naive}). *)

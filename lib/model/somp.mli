@@ -37,8 +37,7 @@ val fit : Dataset.t -> n_terms:int -> result
 val fit_naive : Dataset.t -> n_terms:int -> result
 (** The pre-incremental reference path: a from-scratch QR refit per
     greedy step.  Kept as the oracle for {!fit} — same selection rule,
-    same early-stop semantics — and as the "before" baseline for the
-    front-end bench. *)
+    same early-stop semantics. *)
 
 val fit_cv :
   Dataset.t -> n_folds:int -> candidate_terms:int array -> result * int

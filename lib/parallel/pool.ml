@@ -266,8 +266,8 @@ let default () =
   Mutex.unlock default_mutex;
   pool
 
-(* Resize the shared default pool (bench and the determinism tests use
-   this to compare domain counts within one process). *)
+(* Resize the shared default pool (the determinism tests use this to
+   compare domain counts within one process). *)
 let set_default_size n =
   Mutex.lock default_mutex;
   (match !default_pool with Some p -> shutdown p | None -> ());

@@ -98,5 +98,5 @@ val default : unit -> t
 
 val set_default_size : int -> unit
 (** Shut down the current default pool (if any) and replace it with a
-    fresh pool of the given size — bench and the determinism tests use
-    this to compare domain counts within one process. *)
+    fresh pool of the given size — the determinism tests use this to
+    compare domain counts within one process. *)

@@ -10,7 +10,8 @@
     independent of batch composition, so a coalesced reply is
     bit-identical to the per-request one — at any [CBMF_DOMAINS].  The
     batcher changes throughput and tail latency, never a single output
-    bit (asserted by the serve.batcher tests and the bench harness).
+    bit (asserted by the serve.batcher tests and by the
+    replies-bit-identical oracle of [bench/e2e]).
 
     {b Flush policy.}  The batching window runs from the {e first}
     pending request's enqueue timestamp, so it only ever delays the

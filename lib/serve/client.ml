@@ -82,6 +82,16 @@ let send t req =
   | None -> (
       match Protocol.write_request t.fd req with
       | () -> Ok ()
+      | exception
+          (Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) as e) -> (
+          (* A shed can land before the request goes out: the server
+             wrote [Overloaded] and closed without reading, so the
+             write fails while the reply, and its retry hint, still
+             sits in our receive buffer. *)
+          match Protocol.decode_reply (Protocol.read_frame t.fd) with
+          | Protocol.Overloaded { queue_depth; retry_after_ms } ->
+              lose t (Overloaded { queue_depth; retry_after_ms })
+          | _ | (exception _) -> lose t (connection_lost e))
       | exception e -> lose t (connection_lost e))
 
 let receive t =

@@ -45,8 +45,8 @@ val of_synthetic : Cbmf_circuit.Synthetic.t -> t
     exactly [Synthetic.mean_at], making the engine path oracle-
     checkable at any (K, a, d)), and the covariance blocks come from
     {!Cbmf_circuit.Synthetic.posterior_cov_blocks}.  This is how the
-    scaling benches and the >64-state engine stress suites reach
-    shapes the physical testbenches cannot. *)
+    >64-state engine stress suites reach shapes the physical
+    testbenches cannot. *)
 
 val n_active : t -> int
 

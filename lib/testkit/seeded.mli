@@ -1,7 +1,6 @@
 (** Seeded test corpus: exact-determinism hashing and deterministic
     random inputs, shared by the unit tests, the smoke executables and
-    the bench harness (one implementation instead of per-target
-    copies).
+    [bench/e2e] (one implementation instead of per-target copies).
 
     The FNV-1a hashes fold IEEE-754 {e bit patterns}, so any single-ulp
     difference changes the hash — they make exact determinism goldens

@@ -2,7 +2,7 @@
 
    The seeded corpus (deterministic random inputs) and the FNV-1a
    bit-pattern hashes live in [Cbmf_testkit.Seeded] so the smoke
-   executables and the bench harness share one implementation; this
+   executables and [bench/e2e] share one implementation; this
    module re-exports them alongside the Alcotest wrappers. *)
 
 module Seeded = Cbmf_testkit.Seeded
@@ -46,6 +46,17 @@ let hash_floats = Seeded.hash_floats
 let hash_mats = Seeded.hash_mats
 
 let montecarlo_lna_seed42_n3_hash = Seeded.montecarlo_lna_seed42_n3_hash
+
+(* Bit-for-bit equality of two float arrays (IEEE-754 patterns, so
+   -0.0 differs from 0.0). *)
+let check_bits name (a : float array) (b : float array) =
+  if
+    Array.length a <> Array.length b
+    || not
+         (Array.for_all2
+            (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+            a b)
+  then Alcotest.failf "%s: not bit-identical" name
 
 let mat_close ?(tol = 1e-8) name a b =
   let open Cbmf_linalg in

@@ -6,9 +6,10 @@
    counts, then drives a real server over a temp Unix socket — 100
    batched predict requests, a malformed frame, an unknown model, an
    injection-armed decode failure — validates the stats-JSON schema,
-   and hot-reloads the model under concurrent predict load (zero
-   dropped requests, no torn model, generation accounting exact).
-   Exits nonzero on any failure. *)
+   hot-reloads the model under concurrent predict load (zero dropped
+   requests, no torn model, generation accounting exact), and floods a
+   small server past its queue (every outcome a served, bit-identical
+   reply or a typed shed).  Exits nonzero on any failure. *)
 
 open Cbmf_linalg
 open Cbmf_serve
@@ -257,6 +258,61 @@ let () =
   Client.close c;
   Server.wait server;
   check "socket file removed on stop" (not (Sys.file_exists sock));
+
+  (* --- Overload flood ----------------------------------------------- *)
+  (* Fault-free overload: 16 client threads send predicts on fresh
+     connections for about a second to a server with 8 workers and 4
+     queue slots.  Some requests must be shed with a typed
+     [Overloaded]; none may be lost, and every served reply is
+     bit-identical to the local engine.  A reply slower than the
+     client's 5 s timeout would show up as [Connection_lost]. *)
+  let flood_sock = Filename.concat dir "flood.sock" in
+  let registry = Registry.create () in
+  Registry.put registry ~name:"lna" model;
+  let flood =
+    Server.start
+      ~config:
+        { Server.default_config with workers = 8; queue_cap = 4; timeout = 5.0 }
+      ~registry (Unix.ADDR_UNIX flood_sock)
+  in
+  let ok = Atomic.make 0 and mismatched = Atomic.make 0 in
+  let overloaded = Atomic.make 0 and lost = Atomic.make 0 in
+  let server_errors = Atomic.make 0 and unexpected = Atomic.make 0 in
+  let raised = Atomic.make 0 in
+  let until = Unix.gettimeofday () +. 1.0 in
+  let flood_client () =
+    while Unix.gettimeofday () < until do
+      match
+        let fc = Client.connect ~timeout:5.0 (Unix.ADDR_UNIX flood_sock) in
+        Fun.protect
+          ~finally:(fun () -> Client.close fc)
+          (fun () ->
+            Client.predict_typed fc ~name:"lna" ~states:hstates ~xs:hxs)
+      with
+      | Ok reply ->
+          Atomic.incr (if matches exp_a reply then ok else mismatched)
+      | Error (Client.Overloaded _) -> Atomic.incr overloaded
+      | Error (Client.Connection_lost _) -> Atomic.incr lost
+      | Error (Client.Server_error _) -> Atomic.incr server_errors
+      | Error (Client.Unexpected _) -> Atomic.incr unexpected
+      | exception _ -> Atomic.incr raised
+    done
+  in
+  List.iter Thread.join (List.init 16 (fun _ -> Thread.create flood_client ()));
+  Server.stop flood;
+  let n = Atomic.get in
+  Printf.printf
+    "serve-smoke flood: ok %d, mismatched %d, overloaded %d, \
+     connection_lost %d, server_error %d, unexpected %d, raised %d\n%!"
+    (n ok) (n mismatched) (n overloaded) (n lost) (n server_errors)
+    (n unexpected) (n raised);
+  check "flood: some requests served" (n ok > 0);
+  check "flood: every served reply bit-identical" (n mismatched = 0);
+  check "flood: some requests shed with Overloaded" (n overloaded > 0);
+  check "flood: no Connection_lost" (n lost = 0);
+  check "flood: no Server_error" (n server_errors = 0);
+  check "flood: no Unexpected" (n unexpected = 0);
+  check "flood: no raised exception" (n raised = 0);
 
   Sys.remove snap;
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());

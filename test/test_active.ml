@@ -264,6 +264,46 @@ let test_cbmf_fit_warm_start () =
   check_true "coeffs finite"
     (Array.for_all Float.is_finite warm.Cbmf_core.Cbmf.coeffs.Mat.data)
 
+let test_append_round () =
+  (* One round = one append per state, in state order: same factor,
+     same bits. *)
+  let d, prior = build_case ~k:3 ~n:4 ~m:5 ~seed:21 in
+  let active = [| 0; 2; 3 |] in
+  let by_round = Update.create d prior ~active in
+  let by_sample = Update.create d prior ~active in
+  let rng = Cbmf_prob.Rng.create 22 in
+  for _ = 1 to 2 do
+    let rows = Array.init 3 (fun _ -> Cbmf_prob.Rng.gaussian_vector rng 5) in
+    let ys = Array.init 3 (fun _ -> Cbmf_prob.Rng.gaussian rng) in
+    Update.append_round by_round ~rows ~ys;
+    Array.iteri (fun s row -> Update.append by_sample ~state:s ~row ~y:ys.(s)) rows
+  done;
+  check_bits "mean" (Update.mean by_sample).Mat.data (Update.mean by_round).Mat.data;
+  check_float ~tol:0.0 "nlml" (Update.nlml by_sample) (Update.nlml by_round);
+  check_int "appended" 6 (Update.appended by_round);
+  check_raises_invalid "one row and response per state" (fun () ->
+      Update.append_round by_round ~rows:[| Vec.create 5 |] ~ys:[| 0.0 |])
+
+let test_predictive () =
+  let d, prior = build_case ~k:2 ~n:5 ~m:4 ~seed:23 in
+  let upd = Update.create d prior ~active:[| 1; 3 |] in
+  check_int "n_states" 2 (Update.n_states upd);
+  check_int "n_basis" 4 (Update.n_basis upd);
+  check_true "active" (Update.active upd = [| 1; 3 |]);
+  let coeffs = Update.coefficients upd in
+  check_bits "coefficients = meanᵀ" (Mat.transpose (Update.mean upd)).Mat.data
+    coeffs.Mat.data;
+  check_float ~tol:0.0 "zero off the active set" 0.0 (Mat.get coeffs 0 0);
+  let b = Vec.of_list [ 0.3; -1.2; 2.0; 0.5 ] in
+  for s = 0 to 1 do
+    let mean, var = Update.predictive upd ~state:s b in
+    check_float ~tol:1e-12 "mean = b · coefficients"
+      (Vec.dot b (Mat.row coeffs s))
+      mean;
+    check_float ~tol:0.0 "variance" (Update.variance upd ~state:s b) var;
+    check_true "variance positive" (var > 0.0)
+  done
+
 (* {1 Acquisition policies} *)
 
 let acquire_fixture () =
@@ -336,6 +376,15 @@ let test_acquire_domain_invariance () =
   let h4 = grid () in
   Pool.set_default_size (Pool.env_domains ());
   check_true "variance grid bit-identical at 1 vs 4 domains" (h1 = h4)
+
+let test_policy_names () =
+  List.iter
+    (fun p ->
+      check_true (Acquire.policy_name p)
+        (Acquire.policy_of_string (Acquire.policy_name p) = p))
+    [ Acquire.Variance; Acquire.Cost_weighted; Acquire.Round_robin ];
+  check_raises_invalid "unknown policy" (fun () ->
+      Acquire.policy_of_string "greedy")
 
 (* {1 Satellite 6: per-sample simulator oracle} *)
 
@@ -542,6 +591,8 @@ let suite =
           prop_woodbury_single_active;
         case "ragged appends are order-invariant" test_ragged_order_invariance;
         case "update validation" test_update_validation;
+        case "append_round = per-state appends (bits)" test_append_round;
+        case "predictive = coefficients·b and variance" test_predictive;
         case "Em.run warm start" test_em_warm_start;
         case "Cbmf.fit ?init_hypers skips the init grid"
           test_cbmf_fit_warm_start;
@@ -550,6 +601,7 @@ let suite =
         case "round-robin rotation" test_acquire_round_robin;
         case "select_top cost weighting" test_acquire_select_top_cost;
         case "variance grid domain-invariant" test_acquire_domain_invariance;
+        case "policy names round-trip" test_policy_names;
         case "Synthetic.simulate addressed streams" test_simulate_deterministic;
         case "Synthetic.simulate sigma=0 = mean_at"
           test_simulate_noiseless_is_mean;

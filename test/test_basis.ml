@@ -80,6 +80,24 @@ let prop_eval_matches_design =
       done;
       !ok)
 
+let test_term_names () =
+  check_true "to_string"
+    (List.map Term.to_string
+       [ Term.Constant; Term.Linear 2; Term.Square 0; Term.Cross (1, 3) ]
+    = [ "1"; "x2"; "x0^2"; "x1*x3" ]);
+  check_true "pp = to_string"
+    (Format.asprintf "%a" Term.pp (Term.Cross (1, 3)) = "x1*x3");
+  let d = Dictionary.quadratic 2 in
+  let ts = Dictionary.terms d in
+  check_int "one term per column" (Dictionary.size d) (Array.length ts);
+  Array.iteri
+    (fun i t ->
+      check_true "terms.(i) = term i" (Term.equal t (Dictionary.term d i)))
+    ts;
+  ts.(0) <- Term.Linear 9;
+  check_true "terms returns a copy"
+    (not (Term.equal (Dictionary.term d 0) (Term.Linear 9)))
+
 let suite =
   [ ( "basis",
       [ case "term eval" test_term_eval;
@@ -91,4 +109,5 @@ let suite =
         case "index_of" test_index_of;
         case "design matrix" test_design_matrix;
         case "column norms" test_column_norms;
-        prop_eval_matches_design ] ) ]
+        prop_eval_matches_design;
+        case "term names and dictionary terms" test_term_names ] ) ]

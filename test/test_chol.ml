@@ -256,6 +256,87 @@ let test_updatable_scaled_identity () =
   check_true "reset is c·I"
     (vec_bits_equal (Mat.scalar n 0.5).Mat.data (Chol.Updatable.lower fresh).Mat.data)
 
+(* --- Gaussian quantities built on the factor ---
+
+   Local generators keep the shared stream of the cases above
+   untouched. *)
+
+let test_mahalanobis () =
+  let rng = Cbmf_prob.Rng.create 51 in
+  let f = Chol.factorize (Seeded.random_spd rng 5) in
+  let x = Seeded.random_vec rng 5 and mu = Seeded.random_vec rng 5 in
+  check_float ~tol:1e-10 "= quad_inv (x − mu)"
+    (Chol.quad_inv f (Vec.sub x mu))
+    (Chol.mahalanobis_sq f x mu);
+  check_float ~tol:0.0 "zero at the mean" 0.0 (Chol.mahalanobis_sq f mu mu);
+  (* Diagonal covariance: the multivariate normal log density
+     −½(n·log 2π + log det Σ + d²) splits into univariate ones. *)
+  let sigmas = [| 0.5; 2.0; 1.5 |] in
+  let g = Chol.factorize (Mat.diag (Array.map (fun s -> s *. s) sigmas)) in
+  let x = Vec.of_list [ 0.3; -1.0; 2.5 ] and mu = Vec.of_list [ 0.0; 1.0; 2.0 ] in
+  let log_density =
+    -0.5
+    *. ((3.0 *. log (2.0 *. Float.pi)) +. Chol.log_det g
+       +. Chol.mahalanobis_sq g x mu)
+  in
+  let separable = ref 0.0 in
+  Array.iteri
+    (fun i s ->
+      separable :=
+        !separable +. Cbmf_prob.Gaussian.log_pdf ~mu:mu.(i) ~sigma:s x.(i))
+    sigmas;
+  check_float ~tol:1e-12 "log density" !separable log_density
+
+let test_correlated_draws () =
+  (* mu + l·z with z iid standard normal has mean mu and covariance a. *)
+  let open Cbmf_prob in
+  let cov = Mat.of_arrays [| [| 2.0; 0.8 |]; [| 0.8; 1.0 |] |] in
+  let mu = Vec.of_list [ 1.0; -2.0 ] in
+  let f = Chol.factorize cov in
+  let r = Rng.create 17 in
+  let xs =
+    Array.init 50_000 (fun _ ->
+        Vec.add mu (Chol.sample_transform f (Rng.gaussian_vector r 2)))
+  in
+  let col j = Array.map (fun v -> v.(j)) xs in
+  check_true "mean 0" (abs_float (Stats.mean (col 0) -. 1.0) < 0.05);
+  check_true "mean 1" (abs_float (Stats.mean (col 1) +. 2.0) < 0.05);
+  check_true "var 0" (abs_float (Stats.variance (col 0) -. 2.0) < 0.1);
+  check_true "var 1" (abs_float (Stats.variance (col 1) -. 1.0) < 0.05);
+  check_true "cov 01" (abs_float (Stats.covariance (col 0) (col 1) -. 0.8) < 0.05)
+
+let test_solve_lower_mat_inplace () =
+  let rng = Cbmf_prob.Rng.create 53 in
+  List.iter
+    (fun (n, nc) ->
+      let f = Chol.factorize (Seeded.random_spd rng n) in
+      let b = Seeded.random_mat rng n nc in
+      let x = Mat.copy b in
+      Chol.solve_lower_mat_inplace f x;
+      check_bits
+        (Printf.sprintf "in place = solve_lower_mat (%dx%d)" n nc)
+        (Chol.solve_lower_mat f b).Mat.data x.Mat.data)
+    [ (1, 1); (6, 3); (9, 33); (40, 5) ]
+
+let test_explicit_jitter () =
+  let a = Seeded.random_spd (Cbmf_prob.Rng.create 59) 6 in
+  let c = 0.125 in
+  let f = Chol.factorize ~jitter:c a in
+  let shifted = Mat.copy a in
+  Mat.add_diag_inplace shifted c;
+  check_bits "factor of a + c·I"
+    (Chol.lower (Chol.factorize shifted)).Mat.data (Chol.lower f).Mat.data;
+  check_float ~tol:0.0 "jitter recorded" c (Chol.jitter f);
+  check_int "dim" 6 (Chol.dim f);
+  (* A zero pivot fails plain factorization; a jitter lifts it. *)
+  let psd = Mat.diag (Vec.of_list [ 1.0; 0.0; 2.0 ]) in
+  (match Chol.factorize psd with
+  | _ -> Alcotest.fail "expected Not_positive_definite"
+  | exception Chol.Not_positive_definite 1 -> ());
+  check_float ~tol:1e-12 "jittered log det"
+    (log 1.001 +. log 1e-3 +. log 2.001)
+    (Chol.log_det (Chol.factorize ~jitter:1e-3 psd))
+
 let suite =
   [ ( "linalg.chol",
       [ case "reconstruct" test_reconstruct;
@@ -278,4 +359,9 @@ let suite =
         prop_logdet_scaling;
         case "updatable: extreme sizes" test_updatable_extremes;
         case "updatable: scaled identity and reset" test_updatable_scaled_identity;
-        prop_updatable_matches_oracle ] ) ]
+        prop_updatable_matches_oracle;
+        case "mahalanobis_sq and the normal log density" test_mahalanobis;
+        case "correlated draws: mean and covariance" test_correlated_draws;
+        case "solve_lower_mat_inplace = solve_lower_mat (bits)"
+          test_solve_lower_mat_inplace;
+        case "explicit jitter = factor of a + c·I (bits)" test_explicit_jitter ] ) ]

@@ -103,6 +103,86 @@ let prop_clu_residual =
       let got = Clu.solve a b in
       Cmat.vec_approx_equal ~tol:1e-6 x got)
 
+(* Local generators keep the shared stream of the cases above
+   untouched. *)
+
+let cmat_with r n m =
+  Cmat.init n m (fun _ _ ->
+      c (Cbmf_prob.Rng.gaussian r) (Cbmf_prob.Rng.gaussian r))
+
+let cvec_with r n =
+  Cmat.vec_of_array
+    (Array.init n (fun _ ->
+         c (Cbmf_prob.Rng.gaussian r) (Cbmf_prob.Rng.gaussian r)))
+
+let test_clu_duplicate_rows () =
+  (* Rank-deficient with no zero entry: elimination must reach an
+     exactly zero pivot and report it. *)
+  let a =
+    Cmat.init 3 3 (fun i j ->
+        let i = if i = 2 then 0 else i in
+        c (float_of_int (i + j + 1)) (float_of_int (i * j) -. 0.5))
+  in
+  match Clu.factorize a with
+  | _ -> Alcotest.fail "expected Singular"
+  | exception Clu.Singular _ -> ()
+
+let test_clu_real_system () =
+  (* A real system through the complex kernel: same solution as the
+     real least-squares path, imaginary parts exactly zero. *)
+  let r = Cbmf_prob.Rng.create 79 in
+  let a = Seeded.random_mat r 6 6 and b = Seeded.random_vec r 6 in
+  let ca = Cmat.init 6 6 (fun i j -> c (Mat.get a i j) 0.0) in
+  let x = Clu.solve ca (Cmat.vec_of_array (Array.map (fun v -> c v 0.0) b)) in
+  let expected = Qr.lstsq a b in
+  check_int "dim" 6 (Clu.dim (Clu.factorize ca));
+  Array.iteri
+    (fun i e ->
+      let z = Cmat.vec_get x i in
+      check_float ~tol:1e-8 "re" e z.Complex.re;
+      check_float ~tol:0.0 "im" 0.0 z.Complex.im)
+    expected
+
+let test_clu_conjugate () =
+  (* conj(a)·conj(x) = conj(b) whenever a·x = b. *)
+  let r = Cbmf_prob.Rng.create 83 in
+  let a = cmat_with r 5 5 and b = cvec_with r 5 in
+  let conj_m m = Cmat.init 5 5 (fun i j -> Complex.conj (Cmat.get m i j)) in
+  let conj_v v = Cmat.vec_of_array (Array.map Complex.conj (Cmat.vec_to_array v)) in
+  check_true "conjugate solution"
+    (Cmat.vec_approx_equal ~tol:1e-12
+       (conj_v (Clu.solve a b))
+       (Clu.solve (conj_m a) (conj_v b)))
+
+let test_cmat_arithmetic () =
+  let r = Cbmf_prob.Rng.create 89 in
+  let a = cmat_with r 3 4 and b = cmat_with r 3 4 in
+  let s = Cmat.add a b in
+  for i = 0 to 2 do
+    for j = 0 to 3 do
+      let want = Complex.add (Cmat.get a i j) (Cmat.get b i j) in
+      let got = Cmat.get s i j in
+      check_float ~tol:0.0 "add re" want.Complex.re got.Complex.re;
+      check_float ~tol:0.0 "add im" want.Complex.im got.Complex.im
+    done
+  done;
+  let a' = Cmat.copy a in
+  check_true "copy equal" (Cmat.approx_equal ~tol:0.0 a a');
+  Cmat.set a' 1 2 (c 30.0 (-40.0));
+  check_true "copy independent" (Cmat.get a 1 2 <> c 30.0 (-40.0));
+  check_true "set visible" (not (Cmat.approx_equal a a'));
+  check_float ~tol:1e-12 "max_abs is the largest modulus" 50.0 (Cmat.max_abs a');
+  check_true "dim" (Cmat.dim a' = (3, 4))
+
+let test_cvec_set_norm () =
+  let v = Cmat.vec_create 3 in
+  check_int "vec_dim" 3 (Cmat.vec_dim v);
+  Cmat.vec_set v 0 (c 3.0 4.0);
+  Cmat.vec_set v 2 (c 0.0 (-12.0));
+  check_float ~tol:1e-12 "vec_norm2 = sqrt Σ|z|²" 13.0 (Cmat.vec_norm2 v);
+  Cmat.vec_set v 2 (c 1.0 1.0);
+  check_float ~tol:0.0 "set overwrites" 1.0 (Cmat.vec_get v 2).Complex.im
+
 let suite =
   [ ( "linalg.complex",
       [ case "vec roundtrip" test_vec_roundtrip;
@@ -115,4 +195,9 @@ let suite =
         case "clu pivoting" test_clu_pivoting;
         case "clu singular" test_clu_singular;
         case "reactive solve" test_reactive_solve;
-        prop_clu_residual ] ) ]
+        prop_clu_residual;
+        case "clu duplicate rows singular" test_clu_duplicate_rows;
+        case "clu real system = real least squares" test_clu_real_system;
+        case "clu conjugate system" test_clu_conjugate;
+        case "add/copy/set/max_abs" test_cmat_arithmetic;
+        case "vec_set/vec_norm2" test_cvec_set_norm ] ) ]

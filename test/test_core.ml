@@ -73,6 +73,58 @@ let test_standardize_apply_consistent () =
     (Mat.get std.Dataset.design.(2) 3 4)
     (Mat.get again.Dataset.design.(2) 3 4)
 
+let test_standardize_params_roundtrip () =
+  (* The persisted view rebuilds a transform that maps data and
+     coefficients to the same bits. *)
+  let d = planted () in
+  let tr, std = Standardize.fit d in
+  let p = Standardize.params tr in
+  let tr' = Standardize.of_params p in
+  check_true "params equal" (Standardize.params tr' = p);
+  let again = Standardize.apply tr' d in
+  for s = 0 to d.Dataset.n_states - 1 do
+    check_bits "design" std.Dataset.design.(s).Mat.data
+      again.Dataset.design.(s).Mat.data;
+    check_bits "response" std.Dataset.response.(s) again.Dataset.response.(s)
+  done;
+  let c =
+    Seeded.random_mat (Cbmf_prob.Rng.create 19) d.Dataset.n_states
+      std.Dataset.n_basis
+  in
+  check_bits "unstandardize_coeffs"
+    (Standardize.unstandardize_coeffs tr c).Mat.data
+    (Standardize.unstandardize_coeffs tr' c).Mat.data
+
+let test_standardize_of_params_validation () =
+  let tr, _ = Standardize.fit (planted ~m:10 ()) in
+  let p = Standardize.params tr in
+  List.iter
+    (fun (name, q) ->
+      check_raises_invalid name (fun () -> Standardize.of_params q))
+    [ ("n_states", { p with Standardize.n_states = 0 });
+      ("y_means length", { p with Standardize.y_means = [||] });
+      ("zero y_scale", { p with Standardize.y_scale = 0.0 });
+      ("NaN y_scale", { p with Standardize.y_scale = Float.nan });
+      ( "col_means shape",
+        { p with Standardize.col_means = Mat.create p.Standardize.n_states 3 } );
+      ( "negative col_scales",
+        { p with
+          Standardize.col_scales = Array.make p.Standardize.n_basis_raw (-1.0) } );
+      ("kept range", { p with Standardize.kept = [| p.Standardize.n_basis_raw |] });
+      ("constant_col range", { p with Standardize.constant_col = Some (-1) }) ]
+
+let test_standardize_row () =
+  let d = planted () in
+  let tr, std = Standardize.fit d in
+  for s = 0 to 2 do
+    check_bits "row = apply's row"
+      (Mat.row std.Dataset.design.(s) 4)
+      (Standardize.standardize_row tr ~state:s (Mat.row d.Dataset.design.(s) 4));
+    check_float ~tol:1e-12 "response_mean = training mean"
+      (Vec.mean d.Dataset.response.(s))
+      (Standardize.response_mean tr s)
+  done
+
 (* --- Prior --- *)
 
 let test_r_of_r0 () =
@@ -521,7 +573,11 @@ let suite =
       [ case "centering and scaling" test_standardize_roundtrip_stats;
         case "constant column dropped" test_standardize_drops_constant;
         case "coefficient roundtrip" test_standardize_coeff_roundtrip;
-        case "apply consistent" test_standardize_apply_consistent ] );
+        case "apply consistent" test_standardize_apply_consistent;
+        case "params/of_params round-trip (bits)" test_standardize_params_roundtrip;
+        case "of_params rejects inconsistent params"
+          test_standardize_of_params_validation;
+        case "standardize_row and response_mean" test_standardize_row ] );
     ( "core.prior",
       [ case "R(r0)" test_r_of_r0;
         case "validation" test_prior_validation;

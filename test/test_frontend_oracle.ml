@@ -98,20 +98,6 @@ let test_somp_rank_deficient () =
   check_true "incremental path noted Early_stop" (has_early_stop diag_inc);
   check_true "naive path noted Early_stop" (has_early_stop diag_naive)
 
-let prop_omp_with_norms_identical (k, n, m, seed) =
-  ignore k;
-  let d = build_dataset ~k:1 ~n ~m ~seed in
-  let design = d.Dataset.design.(0) and response = d.Dataset.response.(0) in
-  let n_terms = Stdlib.min 3 (Stdlib.min n m) in
-  let plain = Omp.fit ~design ~response ~n_terms in
-  let with_norms =
-    Omp.fit_with_norms
-      ~norms:(Cbmf_basis.Dictionary.column_norms design)
-      ~design ~response ~n_terms
-  in
-  plain.Omp.support = with_norms.Omp.support
-  && plain.Omp.coeffs = with_norms.Omp.coeffs
-
 let test_dataset_norm_cache () =
   let d = build_dataset ~k:3 ~n:5 ~m:7 ~seed:4 in
   let n0 = Dataset.column_norms d 1 in
@@ -326,8 +312,6 @@ let suite =
           gen_somp_case prop_somp_matches_naive;
         case "rank-deficient design: identical degradation + Early_stop"
           test_somp_rank_deficient;
-        qcase ~count:25 "Omp.fit_with_norms = Omp.fit bitwise" gen_somp_case
-          prop_omp_with_norms_identical;
         case "Dataset.column_norms is cached and exact"
           test_dataset_norm_cache;
         case "Mna.ac_sweep = per-frequency Mna.ac bitwise"

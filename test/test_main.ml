@@ -4,7 +4,7 @@ let () =
        [ Test_vec.suite;
          Test_mat.suite;
          Test_chol.suite;
-         Test_lu_qr_eig.suite;
+         Test_qr.suite;
          Test_complex.suite;
          Test_prob.suite;
          Test_basis.suite;
@@ -12,8 +12,6 @@ let () =
          Test_mna.suite;
          Test_testbench.suite;
          Test_model.suite;
-         Test_lasso.suite;
-         Test_group_lasso.suite;
          Test_core.suite;
          Test_cluster.suite;
          Test_parallel.suite;

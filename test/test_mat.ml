@@ -186,6 +186,93 @@ let test_matmul_nt_weighted () =
   mat_close ~tol:1e-10 "a·diag(w)·aᵀ" (Mat.matmul_nt scaled_a a) aw;
   check_true "weighted self symmetric" (Mat.is_symmetric aw)
 
+(* --- Allocation-free variants ---
+
+   Each [_into] kernel must overwrite its whole destination (arena
+   scratch arrives holding stale values, here NaN) and agree with its
+   allocating form bit for bit.  Local generators keep the shared
+   stream of the suites above untouched. *)
+
+let test_into_kernels () =
+  let rng = Cbmf_prob.Rng.create 41 in
+  List.iter
+    (fun (m, p, n) ->
+      let a = Seeded.random_mat rng m p and b = Seeded.random_mat rng p n in
+      let bt = Seeded.random_mat rng n p in
+      let w = Array.init p (fun j -> 0.5 +. float_of_int j) in
+      let dst = Mat.make m n Float.nan in
+      Mat.matmul_into a b ~dst;
+      check_bits "matmul_into" (Mat.matmul a b).Mat.data dst.Mat.data;
+      let dst = Mat.make m n Float.nan in
+      Mat.matmul_nt_into a bt ~dst;
+      check_bits "matmul_nt_into" (Mat.matmul_nt a bt).Mat.data dst.Mat.data;
+      let dst = Mat.make m n Float.nan in
+      Mat.matmul_nt_weighted_into a w bt ~dst;
+      check_bits "matmul_nt_weighted_into"
+        (Mat.matmul_nt_weighted a w bt).Mat.data dst.Mat.data;
+      let dst = Mat.make m m Float.nan in
+      Mat.matmul_nt_weighted_into a w a ~dst;
+      check_bits "matmul_nt_weighted_into (symmetric path)"
+        (Mat.matmul_nt_weighted a w a).Mat.data dst.Mat.data;
+      let x = Seeded.random_vec rng m in
+      let y = Array.make p Float.nan in
+      Mat.mat_tvec_into a x y;
+      check_bits "mat_tvec_into" (Mat.mat_tvec a x) y)
+    [ (1, 1, 1); (7, 5, 9); (33, 20, 17) ]
+
+let test_inplace_arithmetic () =
+  let rng = Cbmf_prob.Rng.create 43 in
+  let a = Seeded.random_mat rng 4 6 and b = Seeded.random_mat rng 4 6 in
+  let acc = Mat.copy a in
+  Mat.add_inplace acc b;
+  check_bits "add_inplace = add" (Mat.add a b).Mat.data acc.Mat.data;
+  let acc = Mat.copy a in
+  Mat.scale_inplace acc (-2.5);
+  check_bits "scale_inplace = scale" (Mat.scale (-2.5) a).Mat.data acc.Mat.data;
+  let acc = Mat.copy a in
+  Mat.add_scaled_inplace acc 0.75 b;
+  check_bits "add_scaled_inplace = a + c·b"
+    (Mat.add a (Mat.scale 0.75 b)).Mat.data acc.Mat.data
+
+let test_submatrix_into () =
+  let a = Seeded.random_mat (Cbmf_prob.Rng.create 47) 6 7 in
+  List.iter
+    (fun (row0, col0, rows, cols) ->
+      let dst = Mat.make rows cols Float.nan in
+      Mat.submatrix_into a ~row0 ~col0 ~dst;
+      check_bits
+        (Printf.sprintf "block at (%d, %d), %dx%d" row0 col0 rows cols)
+        (Mat.submatrix a ~row0 ~col0 ~rows ~cols).Mat.data dst.Mat.data)
+    [ (0, 0, 6, 7); (2, 3, 3, 2); (5, 6, 1, 1); (1, 0, 4, 7) ]
+
+let test_constructors () =
+  let m = Mat.make 2 3 1.5 in
+  check_true "make shape" (Mat.dim m = (2, 3));
+  check_true "make fill" (Array.for_all (fun x -> x = 1.5) m.Mat.data);
+  mat_close "of_rows = of_arrays"
+    (Mat.of_arrays [| [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] |])
+    (Mat.of_rows [ Vec.of_list [ 1.0; 2.0; 3.0 ]; Vec.of_list [ 4.0; 5.0; 6.0 ] ]);
+  (* unsafe_of_flat wraps the array row-major, without a copy. *)
+  let flat = [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |] in
+  let w = Mat.unsafe_of_flat ~rows:3 ~cols:2 flat in
+  check_float "row-major (2, 1)" 6.0 (Mat.get w 2 1);
+  flat.(1) <- 9.0;
+  check_float "shares storage" 9.0 (Mat.get w 0 1)
+
+let test_maps () =
+  let a = Mat.of_arrays [| [| 1.0; -2.0 |]; [| 3.0; -4.0 |] |] in
+  mat_close "map"
+    (Mat.of_arrays [| [| 1.0; 4.0 |]; [| 9.0; 16.0 |] |])
+    (Mat.map (fun x -> x *. x) a);
+  mat_close "mapi sees (i, j)"
+    (Mat.of_arrays [| [| 1.0; -1.0 |]; [| 13.0; 7.0 |] |])
+    (Mat.mapi (fun i j x -> x +. float_of_int ((10 * i) + j)) a);
+  check_float "maps leave the source" (-2.0) (Mat.get a 0 1);
+  Mat.update a 1 0 (fun x -> 2.0 *. x);
+  check_float "update" 6.0 (Mat.get a 1 0);
+  check_true "square" (Mat.is_square a);
+  check_true "not square" (not (Mat.is_square (Mat.create 2 3)))
+
 let suite =
   [ ( "linalg.mat",
       [ case "identity" test_identity;
@@ -207,4 +294,9 @@ let suite =
         case "symmetrize" test_symmetrize;
         case "norms" test_norms;
         prop_transpose_matmul;
-        prop_trace_cyclic ] ) ]
+        prop_trace_cyclic;
+        case "_into kernels overwrite a stale dst (bits)" test_into_kernels;
+        case "in-place arithmetic = allocating (bits)" test_inplace_arithmetic;
+        case "submatrix_into = submatrix" test_submatrix_into;
+        case "make/of_rows/unsafe_of_flat" test_constructors;
+        case "map/mapi/update" test_maps ] ) ]

@@ -122,64 +122,6 @@ let test_ols_on_support () =
   check_float ~tol:1e-8 "support recovery" 0.0 (Metrics.coeffs_error_pooled ~coeffs d);
   check_float "off support zero" 0.0 (Mat.get coeffs 0 3)
 
-(* --- Ridge --- *)
-
-let test_ridge_shrinks () =
-  let d = planted () in
-  let small = Ridge.fit d ~lambda:1e-8 in
-  let large = Ridge.fit d ~lambda:1e4 in
-  check_true "shrinkage"
-    (Mat.frobenius large < 0.1 *. Mat.frobenius small)
-
-let test_ridge_dual_matches_primal () =
-  (* N > M exercises the primal branch, N < M the dual; both must agree
-     with the normal equations on a common instance. *)
-  let rng = Cbmf_prob.Rng.create 8 in
-  let design = Mat.init 10 10 (fun _ _ -> Cbmf_prob.Rng.gaussian rng) in
-  let response = Array.init 10 (fun _ -> Cbmf_prob.Rng.gaussian rng) in
-  let lambda = 0.37 in
-  let primal = Ridge.fit_vec ~design ~response ~lambda in
-  (* Dual path via a fat copy (add zero columns changes nothing). *)
-  let fat = Mat.init 10 20 (fun i j -> if j < 10 then Mat.get design i j else 0.0) in
-  let dual = Ridge.fit_vec ~design:fat ~response ~lambda in
-  vec_close ~tol:1e-8 "dual = primal on shared columns" primal (Array.sub dual 0 10)
-
-let test_ridge_cv () =
-  let d = planted ~noise:0.05 () in
-  let _, lambda = Ridge.fit_cv d ~lambdas:[| 1e-6; 1e-2; 1e2 |] ~n_folds:3 in
-  check_true "sane lambda" (lambda < 1e2)
-
-(* --- OMP --- *)
-
-let test_omp_exact_recovery () =
-  let d = planted ~noise:0.0 () in
-  let r =
-    Omp.fit ~design:d.Dataset.design.(0) ~response:d.Dataset.response.(0)
-      ~n_terms:3
-  in
-  let sorted = Array.copy r.Omp.support in
-  Array.sort compare sorted;
-  check_true "support found" (sorted = [| 0; 7; 19 |]);
-  check_float ~tol:1e-8 "coefficient" (-0.5) r.Omp.coeffs.(19)
-
-let test_omp_prediction () =
-  let d = planted ~noise:0.01 () in
-  let r =
-    Omp.fit ~design:d.Dataset.design.(1) ~response:d.Dataset.response.(1)
-      ~n_terms:3
-  in
-  let pred = Omp.predict r d.Dataset.design.(1) in
-  check_true "fit quality"
-    (Metrics.relative_rms ~predicted:pred ~actual:d.Dataset.response.(1) < 0.05)
-
-let test_omp_cv_selects_sparsity () =
-  let d = planted ~noise:0.02 ~n:40 () in
-  let _, chosen =
-    Omp.fit_cv ~design:d.Dataset.design.(0) ~response:d.Dataset.response.(0)
-      ~n_folds:4 ~candidate_terms:[| 1; 3; 10; 20 |]
-  in
-  check_true "neither extreme" (chosen >= 3 && chosen <= 10)
-
 (* --- S-OMP --- *)
 
 let test_somp_shared_support () =
@@ -191,7 +133,8 @@ let test_somp_shared_support () =
 
 let test_somp_beats_per_state_at_small_n () =
   (* With few samples per state, pooling the selection across states
-     finds the true support more reliably than per-state OMP. *)
+     finds the true support more reliably than per-state OMP (S-OMP
+     on a one-state dataset). *)
   let d = planted ~k:8 ~n:8 ~m:60 ~noise:0.05 ~seed:11 () in
   let test_data = planted ~k:8 ~n:50 ~m:60 ~noise:0.05 ~seed:12 () in
   let r = Somp.fit d ~n_terms:3 in
@@ -199,11 +142,8 @@ let test_somp_beats_per_state_at_small_n () =
   let per_state_err =
     let coeffs = Mat.create 8 60 in
     for s = 0 to 7 do
-      let o =
-        Omp.fit ~design:d.Dataset.design.(s) ~response:d.Dataset.response.(s)
-          ~n_terms:3
-      in
-      Mat.set_row coeffs s o.Omp.coeffs
+      let o = Somp.fit (Dataset.select_states d [| s |]) ~n_terms:3 in
+      Mat.set_row coeffs s (Mat.row o.Somp.coeffs 0)
     done;
     Metrics.coeffs_error_pooled ~coeffs test_data
   in
@@ -224,34 +164,84 @@ let test_somp_cv () =
   check_true "chosen sane" (chosen = 3 || chosen = 8);
   check_true "support size" (Array.length r.Somp.support >= 3)
 
-(* --- Crossval --- *)
+(* --- Additional dataset / metrics / OLS properties --- *)
 
-let test_folds_partition () =
-  let folds = Crossval.interleaved_folds ~n:13 ~n_folds:4 in
-  check_int "count" 4 (Array.length folds);
-  let seen = Array.make 13 0 in
-  Array.iter
-    (fun (train, test) ->
-      check_int "sizes" 13 (Array.length train + Array.length test);
-      Array.iter (fun i -> seen.(i) <- seen.(i) + 1) test)
-    folds;
-  Array.iter (fun c -> check_int "each row tested once" 1 c) seen
+let test_dataset_response_norm () =
+  let d = planted ~k:3 ~n:7 () in
+  let stacked = Array.concat (Array.to_list d.Dataset.response) in
+  check_float ~tol:1e-12 "norm of the stacked responses" (Vec.norm2 stacked)
+    (Dataset.response_norm d);
+  (* It is the pooled error's denominator: the zero model scores 1. *)
+  check_float ~tol:1e-12 "zero model" 1.0
+    (Metrics.coeffs_error_pooled ~coeffs:(Mat.create 3 d.Dataset.n_basis) d)
 
-let test_select () =
-  let grid = [| 1.0; 2.0; 3.0 |] in
-  let best, score, all = Crossval.select ~grid ~score:(fun x -> abs_float (x -. 2.2)) in
-  check_float "winner" 2.0 best;
-  check_true "score" (score < 0.3);
-  check_int "all" 3 (Array.length all)
+let test_metrics_max_abs () =
+  let p = Vec.of_list [ 1.0; 2.0; -3.0 ] and a = Vec.of_list [ 1.5; 2.0; 1.0 ] in
+  check_float "largest deviation" 4.0 (Metrics.max_abs_error ~predicted:p ~actual:a);
+  check_float "exact fit" 0.0 (Metrics.max_abs_error ~predicted:a ~actual:a)
 
-let test_grid3 () =
-  let g = Crossval.grid3 [| 1; 2 |] [| 'a' |] [| true; false |] in
-  check_int "size" 4 (Array.length g)
+let test_metrics_coeffs_rmse () =
+  let truth = Mat.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; 2.0 |] |] in
+  let estimate = Mat.of_arrays [| [| 1.0; 1.0 |]; [| 0.0; 0.0 |] |] in
+  (* Squared entry errors 0, 1, 0, 4. *)
+  check_float ~tol:1e-12 "entry-wise rms" (sqrt 1.25)
+    (Metrics.coeffs_rmse ~truth ~estimate);
+  check_float "identical" 0.0 (Metrics.coeffs_rmse ~truth ~estimate:truth);
+  check_raises_invalid "shape mismatch" (fun () ->
+      Metrics.coeffs_rmse ~truth ~estimate:(Mat.create 2 3))
 
-let test_log_grid () =
-  let g = Crossval.log_grid ~lo:1.0 ~hi:100.0 ~n:3 in
-  check_float ~tol:1e-9 "mid" 10.0 g.(1);
-  check_float ~tol:1e-9 "hi" 100.0 g.(2)
+let test_metrics_predict_state () =
+  (* The planted truth reproduces the noiseless responses state by
+     state. *)
+  let d = planted ~k:3 ~n:6 ~noise:0.0 () in
+  let truth =
+    Mat.init 3 d.Dataset.n_basis (fun s j ->
+        match j with
+        | 0 -> 3.0
+        | 7 -> 1.0 +. (0.1 *. float_of_int s)
+        | 19 -> -0.5
+        | _ -> 0.0)
+  in
+  for s = 0 to 2 do
+    vec_close ~tol:1e-12 "ŷ_k = B_k·c_k = y_k" d.Dataset.response.(s)
+      (Metrics.predict_state ~coeffs:truth d s)
+  done
+
+let test_ols_column_scaling () =
+  (* Least squares is equivariant under column scaling: doubling a
+     column halves its coefficient and leaves the others. *)
+  let d = planted ~n:50 ~noise:0.05 () in
+  let design = d.Dataset.design.(1) and response = d.Dataset.response.(1) in
+  let c = Ols.fit_vec ~design ~response in
+  let scaled = Mat.mapi (fun _ j x -> if j = 7 then 2.0 *. x else x) design in
+  let c2 = Ols.fit_vec ~design:scaled ~response in
+  check_float ~tol:1e-10 "scaled column" (c.(7) /. 2.0) c2.(7);
+  c.(7) <- c.(7) /. 2.0;
+  vec_close ~tol:1e-10 "other columns" c c2
+
+(* S-OMP on a one-state dataset is plain OMP: the per-state greedy
+   baseline. *)
+let one_state d s = Dataset.select_states d [| s |]
+
+let test_somp_one_state_exact () =
+  let d = one_state (planted ~noise:0.0 ()) 0 in
+  let r = Somp.fit d ~n_terms:3 in
+  let sorted = Array.copy r.Somp.support in
+  Array.sort compare sorted;
+  check_true "support found" (sorted = [| 0; 7; 19 |]);
+  check_float ~tol:1e-8 "coefficient" (-0.5) (Mat.get r.Somp.coeffs 0 19)
+
+let test_somp_one_state_prediction () =
+  let d = one_state (planted ~noise:0.01 ()) 1 in
+  let r = Somp.fit d ~n_terms:3 in
+  let pred = Metrics.predict_state ~coeffs:r.Somp.coeffs d 0 in
+  check_true "fit quality"
+    (Metrics.relative_rms ~predicted:pred ~actual:d.Dataset.response.(0) < 0.05)
+
+let test_somp_one_state_cv () =
+  let d = one_state (planted ~noise:0.02 ~n:40 ()) 0 in
+  let _, chosen = Somp.fit_cv d ~n_folds:4 ~candidate_terms:[| 1; 3; 10; 20 |] in
+  check_true "neither extreme" (chosen >= 3 && chosen <= 10)
 
 let suite =
   [ ( "model.dataset",
@@ -259,30 +249,25 @@ let suite =
         case "truncate" test_dataset_truncate;
         case "fold split partitions" test_dataset_fold_split;
         case "select_rows" test_dataset_select_rows;
-        case "shape mismatch rejected" test_dataset_mismatch_rejected ] );
+        case "shape mismatch rejected" test_dataset_mismatch_rejected;
+        case "response_norm" test_dataset_response_norm ] );
     ( "model.metrics",
       [ case "rmse" test_metrics_rmse;
         case "relative" test_metrics_relative;
         case "pooled" test_metrics_pooled;
-        case "r-squared" test_metrics_r2 ] );
+        case "r-squared" test_metrics_r2;
+        case "max_abs_error" test_metrics_max_abs;
+        case "coeffs_rmse" test_metrics_coeffs_rmse;
+        case "predict_state" test_metrics_predict_state ] );
     ( "model.ols",
       [ case "recovers planted model" test_ols_recovers;
-        case "fit on support" test_ols_on_support ] );
-    ( "model.ridge",
-      [ case "shrinkage" test_ridge_shrinks;
-        case "dual = primal" test_ridge_dual_matches_primal;
-        case "cv" test_ridge_cv ] );
-    ( "model.omp",
-      [ case "exact recovery" test_omp_exact_recovery;
-        case "prediction" test_omp_prediction;
-        case "cv sparsity" test_omp_cv_selects_sparsity ] );
+        case "fit on support" test_ols_on_support;
+        case "column scaling equivariance" test_ols_column_scaling ] );
     ( "model.somp",
       [ case "shared support" test_somp_shared_support;
         case "beats per-state at small N" test_somp_beats_per_state_at_small_n;
         case "select_next exclusion" test_somp_select_next_excludes;
-        case "cv" test_somp_cv ] );
-    ( "model.crossval",
-      [ case "fold partition" test_folds_partition;
-        case "select" test_select;
-        case "grid3" test_grid3;
-        case "log grid" test_log_grid ] ) ]
+        case "cv" test_somp_cv;
+        case "one state: exact recovery" test_somp_one_state_exact;
+        case "one state: prediction" test_somp_one_state_prediction;
+        case "one state: cv sparsity" test_somp_one_state_cv ] ) ]

@@ -228,6 +228,53 @@ let test_montecarlo_domain_invariance () =
         "pinned golden" montecarlo_lna_seed42_n3_hash h1
   | _ -> assert false)
 
+(* --- Scheduling constants and scratch arenas --- *)
+
+let test_tune_bounds () =
+  let module Tune = Cbmf_parallel.Tune in
+  check_int "below one" 1 (Tune.clamp_domains 0);
+  check_int "negative" 1 (Tune.clamp_domains (-5));
+  check_int "in range" 3 (Tune.clamp_domains 3);
+  check_int "above the cap" Tune.max_domains
+    (Tune.clamp_domains (Tune.max_domains + 1));
+  let r = Tune.recommended_domains () in
+  check_true "recommended in range" (r >= 1 && r <= Tune.max_domains);
+  check_true "sequential iff one domain" (Tune.sequential_recommended () = (r = 1));
+  check_true "never fan out to one domain"
+    (not (Tune.fanout_worthwhile ~size:1 ~work_ns:1e12));
+  (* CBMF_CHUNK, when valid, overrides every chunk size. *)
+  let override =
+    match
+      Option.bind (Sys.getenv_opt "CBMF_CHUNK") (fun s ->
+          int_of_string_opt (String.trim s))
+    with
+    | Some c when c >= 1 -> Some c
+    | _ -> None
+  in
+  check_int "one domain: the whole range is one chunk"
+    (Option.value override ~default:100)
+    (Tune.chunk ~size:1 ~n:100 ());
+  check_int "serving batch chunk"
+    (Option.value override ~default:Tune.default_batch_chunk)
+    (Tune.batch_chunk ())
+
+let test_arena () =
+  let module Arena = Cbmf_parallel.Arena in
+  let a = Arena.create () in
+  let id1 = Arena.fresh_id () and id2 = Arena.fresh_id () in
+  check_true "fresh ids differ" (id1 <> id2);
+  let b1 = Arena.grab a id1 5 in
+  check_int "exact length" 5 (Array.length b1);
+  b1.(0) <- 42.0;
+  check_true "stable size reuses the buffer" (Arena.grab a id1 5 == b1);
+  check_true "ids name separate buffers" (Arena.grab a id2 5 != b1);
+  let z = Arena.grab_zeroed a id1 5 in
+  check_true "grab_zeroed reuses" (z == b1);
+  check_true "grab_zeroed clears" (Array.for_all (fun x -> x = 0.0) z);
+  let b3 = Arena.grab a id1 7 in
+  check_int "size change reallocates" 7 (Array.length b3);
+  check_true "arenas are separate" (Arena.grab (Arena.create ()) id1 7 != b3)
+
 let suite =
   [ ( "parallel.pool",
       [ qcase ~count:60 "map_reduce = sequential fold (1/2/4/8 domains)"
@@ -243,7 +290,9 @@ let suite =
         case "nested calls fall back to sequential"
           test_nested_calls_fall_back;
         case "size-1 pool is strictly sequential" test_size_one_sequential;
-        case "env override parsing" test_env_parsing ] );
+        case "env override parsing" test_env_parsing;
+        case "tune: domain clamp and chunk sizes" test_tune_bounds;
+        case "arena: exact lengths, reuse, zeroing" test_arena ] );
     ( "parallel.shutdown",
       [ case "shutdown during in-flight job" test_shutdown_during_job;
         case "double + concurrent shutdown" test_double_and_concurrent_shutdown;

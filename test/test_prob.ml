@@ -64,6 +64,67 @@ let test_shuffle_permutation () =
   Array.iter (fun i -> seen.(i) <- true) p;
   check_true "is permutation" (Array.for_all Fun.id seen)
 
+let test_derive_pure () =
+  (* Addressed streams: a pure function of (base, index), whatever
+     order they are materialized in, and distinct across indices. *)
+  let base = Rng.seed_of (Rng.create 31) in
+  let draws r = Array.init 8 (fun _ -> Rng.uint64 r) in
+  let forward = Array.init 6 (fun i -> draws (Rng.derive base ~index:i)) in
+  let backward = Array.init 6 (fun i -> draws (Rng.derive base ~index:(5 - i))) in
+  Array.iteri
+    (fun i d -> check_true "order-free" (d = backward.(5 - i)))
+    forward;
+  check_true "indices differ" (forward.(0) <> forward.(1));
+  check_true "bases differ"
+    (draws (Rng.derive (Int64.add base 1L) ~index:0) <> forward.(0));
+  check_true "seed_of advances"
+    (let r = Rng.create 31 in
+     Rng.seed_of r <> Rng.seed_of r)
+
+let test_uniform_range () =
+  let r = Rng.create 37 in
+  let xs = Array.init 20_000 (fun _ -> Rng.uniform r (-3.0) 5.0) in
+  check_true "in [a, b)" (Array.for_all (fun x -> x >= -3.0 && x < 5.0) xs);
+  (* Mean 1, sd 8/sqrt 12 ≈ 2.31: 0.1 is > 6 standard errors. *)
+  check_true "mean ~ (a + b)/2" (abs_float (Stats.mean xs -. 1.0) < 0.1)
+
+let test_bool_balance () =
+  let r = Rng.create 41 in
+  let n = 20_000 in
+  let heads = ref 0 in
+  for _ = 1 to n do
+    if Rng.bool r then incr heads
+  done;
+  (* Expected 10000, sd ≈ 71. *)
+  check_true "balanced" (abs (!heads - (n / 2)) < 500)
+
+let test_gaussian_mu_sigma () =
+  let r = Rng.create 43 in
+  let xs = Array.init 50_000 (fun _ -> Rng.gaussian_mu_sigma r ~mu:3.0 ~sigma:0.5) in
+  check_true "mean ~ mu" (abs_float (Stats.mean xs -. 3.0) < 0.01);
+  check_true "sd ~ sigma" (abs_float (Stats.stddev xs -. 0.5) < 0.01);
+  (* Same stream as the standard draw, shifted and scaled. *)
+  let a = Rng.create 47 and b = Rng.create 47 in
+  for _ = 1 to 10 do
+    check_float ~tol:0.0 "affine in the standard draw"
+      (3.0 +. (0.5 *. Rng.gaussian a))
+      (Rng.gaussian_mu_sigma b ~mu:3.0 ~sigma:0.5)
+  done
+
+let test_shuffle_inplace () =
+  let a = Array.init 40 Fun.id in
+  let b = Array.copy a in
+  Rng.shuffle_inplace (Rng.create 53) a;
+  Rng.shuffle_inplace (Rng.create 53) b;
+  check_true "deterministic per seed" (a = b);
+  check_true "reorders" (a <> Array.init 40 Fun.id);
+  let sorted = Array.copy a in
+  Array.sort compare sorted;
+  check_true "same elements" (sorted = Array.init 40 Fun.id);
+  let one = [| 7 |] in
+  Rng.shuffle_inplace (Rng.create 53) one;
+  check_true "singleton" (one = [| 7 |])
+
 (* --- Gaussian distribution functions --- *)
 
 let test_erf_values () =
@@ -94,36 +155,48 @@ let test_pdf () =
   check_float ~tol:1e-10 "log_pdf consistent" (log (Gaussian.pdf 1.3))
     (Gaussian.log_pdf 1.3)
 
-(* --- Mvn --- *)
+let test_erfc () =
+  (* Relative accuracy holds deep into the upper tail, where 1 − erf
+     would cancel to nothing. *)
+  List.iter
+    (fun (x, want) ->
+      let got = Gaussian.erfc x in
+      check_true
+        (Printf.sprintf "erfc %g relative error" x)
+        (abs_float (got -. want) <= 1e-6 *. want))
+    [ (0.5, 0.4795001221869535); (1.0, 0.15729920705028513);
+      (3.0, 2.209049699858544e-05); (5.0, 1.5374597944280349e-12) ];
+  check_float ~tol:1e-7 "erfc 0" 1.0 (Gaussian.erfc 0.0);
+  check_float ~tol:1e-15 "erfc(−x) = 2 − erfc x"
+    (2.0 -. Gaussian.erfc 1.0) (Gaussian.erfc (-1.0));
+  check_float ~tol:1e-15 "erf = 1 − erfc"
+    (1.0 -. Gaussian.erfc 0.7)
+    (Gaussian.erf 0.7)
 
-let test_mvn_moments () =
-  let open Cbmf_linalg in
-  let cov = Mat.of_arrays [| [| 2.0; 0.8 |]; [| 0.8; 1.0 |] |] in
-  let d = Mvn.create ~mu:(Vec.of_list [ 1.0; -2.0 ]) ~cov in
-  let r = Rng.create 17 in
-  let n = 50_000 in
-  let xs = Array.init n (fun _ -> Mvn.sample d r) in
-  let col j = Array.map (fun v -> v.(j)) xs in
-  check_true "mean0" (abs_float (Stats.mean (col 0) -. 1.0) < 0.05);
-  check_true "mean1" (abs_float (Stats.mean (col 1) +. 2.0) < 0.05);
-  check_true "var0" (abs_float (Stats.variance (col 0) -. 2.0) < 0.1);
-  check_true "cov01" (abs_float (Stats.covariance (col 0) (col 1) -. 0.8) < 0.05)
+let test_quantile_mu_sigma () =
+  List.iter
+    (fun p ->
+      let x = Gaussian.quantile_mu_sigma ~mu:(-2.0) ~sigma:3.0 p in
+      check_float ~tol:1e-6 "cdf∘quantile" p
+        (Gaussian.cdf ~mu:(-2.0) ~sigma:3.0 x))
+    [ 0.01; 0.3; 0.5; 0.8; 0.99 ];
+  (* The standard quantile is accurate to 1e-5, scaled here by sigma. *)
+  check_float ~tol:3e-5 "median = mu" (-2.0)
+    (Gaussian.quantile_mu_sigma ~mu:(-2.0) ~sigma:3.0 0.5)
 
-let test_mvn_logpdf () =
-  (* Standard normal: log pdf at 0 = −(n/2)·log(2π). *)
-  let d = Mvn.standard 3 in
-  check_float ~tol:1e-9 "logpdf origin"
-    (-1.5 *. log (2.0 *. Float.pi))
-    (Mvn.log_pdf d (Cbmf_linalg.Vec.create 3))
-
-let test_mvn_conditional () =
-  let open Cbmf_linalg in
-  let cov = Mat.of_arrays [| [| 1.0; 0.9 |]; [| 0.9; 1.0 |] |] in
-  let d = Mvn.create ~mu:(Vec.create 2) ~cov in
-  let c = Mvn.conditional d ~indices:[| 1 |] ~values:(Vec.of_list [ 2.0 ]) in
-  check_int "dim" 1 (Mvn.dim c);
-  check_float ~tol:1e-9 "cond mean" 1.8 (Mvn.mean c).(0);
-  check_float ~tol:1e-9 "cond var" 0.19 (Mat.get (Mvn.covariance c) 0 0)
+let test_log_likelihood () =
+  let xs = [| 0.2; -1.1; 0.7; 2.3; 0.4 |] in
+  let direct =
+    Array.fold_left
+      (fun acc x -> acc +. Gaussian.log_pdf ~mu:0.5 ~sigma:1.5 x)
+      0.0 xs
+  in
+  check_float ~tol:1e-12 "= Σ log_pdf" direct
+    (Gaussian.log_likelihood ~mu:0.5 ~sigma:1.5 xs);
+  (* For fixed sigma the likelihood peaks at the sample mean. *)
+  let m = Stats.mean xs in
+  let ll mu = Gaussian.log_likelihood ~mu ~sigma:1.5 xs in
+  check_true "peak at the mean" (ll m > ll (m +. 0.05) && ll m > ll (m -. 0.05))
 
 (* --- Lhs --- *)
 
@@ -178,6 +251,20 @@ let test_histogram () =
   check_int "bins" 2 (Array.length h);
   check_int "counts total" 5 (Array.fold_left (fun a (_, c) -> a + c) 0 h)
 
+let test_stddev_covariance () =
+  let xs = [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
+  let ys = Array.map (fun x -> (3.0 *. x) -. 1.0) xs in
+  check_float ~tol:1e-12 "stddev = sqrt variance" (sqrt (32.0 /. 7.0))
+    (Stats.stddev xs);
+  check_float ~tol:1e-12 "covariance with itself = variance"
+    (Stats.variance xs) (Stats.covariance xs xs);
+  check_float ~tol:1e-12 "covariance scales" (3.0 *. Stats.variance xs)
+    (Stats.covariance xs ys);
+  check_float ~tol:1e-12 "pearson = cov / (sd·sd)"
+    (Stats.covariance xs ys /. (Stats.stddev xs *. Stats.stddev ys))
+    (Stats.pearson xs ys);
+  check_float "singleton" 0.0 (Stats.covariance [| 1.0 |] [| 2.0 |])
+
 let suite =
   [ ( "prob.rng",
       [ case "determinism" test_determinism;
@@ -186,17 +273,21 @@ let suite =
         case "float range" test_float_range;
         slow_case "int uniformity" test_int_uniform;
         slow_case "gaussian moments" test_gaussian_moments;
-        case "permutation" test_shuffle_permutation ] );
+        case "permutation" test_shuffle_permutation;
+        case "derive is pure in (base, index)" test_derive_pure;
+        case "uniform range" test_uniform_range;
+        case "bool balance" test_bool_balance;
+        case "gaussian_mu_sigma moments" test_gaussian_mu_sigma;
+        case "shuffle_inplace" test_shuffle_inplace ] );
     ( "prob.gaussian",
       [ case "erf values" test_erf_values;
         case "cdf values" test_cdf_values;
         case "quantile roundtrip" test_quantile_roundtrip;
         case "quantile known values" test_quantile_known;
-        case "pdf" test_pdf ] );
-    ( "prob.mvn",
-      [ slow_case "sample moments" test_mvn_moments;
-        case "log_pdf" test_mvn_logpdf;
-        case "conditional" test_mvn_conditional ] );
+        case "pdf" test_pdf;
+        case "erfc tails" test_erfc;
+        case "quantile_mu_sigma inverts cdf" test_quantile_mu_sigma;
+        case "log_likelihood" test_log_likelihood ] );
     ( "prob.lhs",
       [ case "stratification" test_lhs_stratified;
         case "gaussian moments" test_lhs_gaussian_moments ] );
@@ -204,4 +295,5 @@ let suite =
       [ case "basics" test_stats_basics;
         case "quantile interpolation" test_quantile_interp;
         case "pearson" test_pearson;
-        case "histogram" test_histogram ] ) ]
+        case "histogram" test_histogram;
+        case "stddev/covariance" test_stddev_covariance ] ) ]

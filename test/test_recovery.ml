@@ -9,19 +9,7 @@ module Synthetic = Cbmf_circuit.Synthetic
 module Recovery = Cbmf_experiments.Recovery
 module Metrics = Cbmf_model.Metrics
 
-(* Correlated regime: many states, few samples per state — each state
-   is underdetermined alone, so sharing across states is what recovers
-   the template. *)
-let spec =
-  { Synthetic.default_spec with
-    Synthetic.k = 12;
-    m = 31;
-    d = 15;
-    active_per_state = 4;
-    rho = 0.9;
-    noise_sigma = 0.05;
-    density = 0.2;
-    seed = 5 }
+let spec = Recovery.table_spec
 
 let mean xs = Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
 
@@ -48,22 +36,61 @@ let test_metrics () =
 let test_posterior_path_crossover () =
   (* Auto picks primal iff aK < NK strictly: with a=4, K=12 the active
      block is 48 — 3 samples/state (NK=36) must go dual, 6 (NK=72)
-     primal.  The same crossover the scaling bench records per cell. *)
+     primal. *)
   let t = Synthetic.truth spec in
   let d3 = Synthetic.dataset t ~n_per_state:3 in
   let d6 = Synthetic.dataset t ~n_per_state:6 in
   check_true "aK >= NK goes dual" (Recovery.posterior_path t d3 = "dual");
   check_true "aK < NK goes primal" (Recovery.posterior_path t d6 = "primal")
 
+(* [Recovery.table], recorded at 1 and 2 domains: (budget, method,
+   F1, precision, recall, coeff_rmse, test_error). *)
+let table_golden =
+  [ (4, `Cbmf, 0.8, 0.6666666666666666, 1.0, 0.14079, 0.21349);
+    (4, `Uncorrelated, 0.4, 1.0, 0.25, 0.79892, 1.40328);
+    (6, `Cbmf, 0.6666666666666665, 0.6, 0.75, 0.21907, 0.35207);
+    (6, `Uncorrelated, 0.6, 0.5, 0.75, 0.27773, 0.47372);
+    (8, `Cbmf, 0.8, 0.6666666666666666, 1.0, 0.03437, 0.05265);
+    (8, `Uncorrelated, 0.8, 0.6666666666666666, 1.0, 0.04478, 0.06493) ]
+
 let test_cbmf_beats_uncorrelated () =
   (* The acceptance criterion: on the rho = 0.9 low-budget grid, C-BMF
-     support-recovery F1 is at least the uncorrelated baseline's. *)
-  let cells =
-    Recovery.run_grid ~n_test:25
-      ~methods:[ `Cbmf; `Uncorrelated ]
-      ~specs:[| spec |] ~budgets:[| 4; 6 |] ()
+     support-recovery F1 is at least the uncorrelated baseline's.  The
+     whole table is pinned too: supports exactly, the continuous
+     scores to 1e-4. *)
+  let tables =
+    Fun.protect
+      ~finally:(fun () ->
+        Cbmf_parallel.Pool.set_default_size (Cbmf_parallel.Pool.env_domains ()))
+      (fun () ->
+        List.map
+          (fun domains ->
+            Cbmf_parallel.Pool.set_default_size domains;
+            (domains, Recovery.table ()))
+          [ 1; 2 ])
   in
-  check_int "grid size" 4 (Array.length cells);
+  List.iter
+    (fun (domains, cells) ->
+      check_int "grid size" 6 (Array.length cells);
+      List.iteri
+        (fun i (budget, method_, f1, precision, recall, rmse, test_error) ->
+          let c = cells.(i) in
+          let name field =
+            Printf.sprintf "%d domain(s), %s at %d/state: %s" domains
+              (Recovery.method_name method_) budget field
+          in
+          check_true (name "cell")
+            (c.Recovery.n_per_state = budget && c.Recovery.method_ = method_);
+          check_true (name "F1") (Float.equal c.Recovery.f1 f1);
+          check_true (name "precision")
+            (Float.equal c.Recovery.precision precision);
+          check_true (name "recall") (Float.equal c.Recovery.recall recall);
+          check_float ~tol:1e-4 (name "coeff_rmse") rmse c.Recovery.coeff_rmse;
+          check_float ~tol:1e-4 (name "test_error") test_error
+            c.Recovery.test_error)
+        table_golden)
+    tables;
+  let cells = List.assoc 1 tables in
   let f1_cbmf = mean (Array.map (fun c -> c.Recovery.f1) (cells_of `Cbmf cells)) in
   let f1_unc =
     mean (Array.map (fun c -> c.Recovery.f1) (cells_of `Uncorrelated cells))
@@ -74,11 +101,6 @@ let test_cbmf_beats_uncorrelated () =
   check_true "cbmf recovers most of the support" (f1_cbmf >= 0.6);
   Array.iter
     (fun c ->
-      check_true "f1 in [0,1]" (c.Recovery.f1 >= 0.0 && c.Recovery.f1 <= 1.0);
-      check_true "precision in [0,1]"
-        (c.Recovery.precision >= 0.0 && c.Recovery.precision <= 1.0);
-      check_true "recall in [0,1]"
-        (c.Recovery.recall >= 0.0 && c.Recovery.recall <= 1.0);
       check_true "coeff_rmse finite" (Float.is_finite c.Recovery.coeff_rmse);
       check_true "test_error finite" (Float.is_finite c.Recovery.test_error);
       check_true "path recorded"

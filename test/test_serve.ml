@@ -1064,6 +1064,18 @@ let test_server_shed_overload () =
       | exception Protocol.Closed -> ());
       Unix.close c2;
       check_true "shed counted" (Stats.sheds (Server.stats srv) >= 1);
+      (* A request written after the shed landed hits a closed socket;
+         the client still reads the typed reply and its retry hint. *)
+      let late = Client.connect addr in
+      Thread.delay 0.05;
+      (match Client.predict_typed late ~name:"m" ~states:[| 0 |]
+               ~xs:(Mat.init 1 4 (fun _ _ -> g ()))
+       with
+      | Error (Client.Overloaded { queue_depth = 1; retry_after_ms = 17 }) -> ()
+      | Ok _ -> Alcotest.fail "late client served past a full queue"
+      | Error f ->
+          Alcotest.failf "late client: %s" (Client.failure_to_string f));
+      Client.close late;
       (* Accepted connections still serve normally. *)
       let cl = Client.of_fd c0 in
       (match Client.predict_typed cl ~name:"m" ~states:[| 0 |]
