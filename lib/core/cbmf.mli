@@ -88,7 +88,9 @@ val fit : ?config:config -> ?init_hypers:Prior.t -> Dataset.t -> model
     previous fit) skips the initializer grid entirely and warm-starts
     the EM there — the initializer fields of [info] are then neutral
     (r0 = 0, cv_error = 0, θ = #{λ > 0}) and the EM trace records
-    [warm_start = true]. *)
+    [warm_start = true].  Without [init_hypers], raises
+    [Invalid_argument] when a state has fewer samples than the
+    initializer's [n_folds] (see {!Init.run}). *)
 
 val fitted_view : model -> fitted
 (** Force and return {!model.view}. *)

@@ -171,6 +171,12 @@ let greedy_pass ~(train : Dataset.t) ~test ~r0 ~sigma0 ~theta_max =
     ~test ~sigma0 ~theta_max
 
 let run ?(config = default_config) (d : Dataset.t) =
+  if config.n_folds < 2 || d.Dataset.n_samples < config.n_folds then
+    invalid_arg
+      (Printf.sprintf
+         "Init.run: cross-validation needs 2 <= n_folds <= samples per \
+          state (n_folds = %d, n_samples = %d)"
+         config.n_folds d.Dataset.n_samples);
   assert (Array.length config.r0_grid > 0);
   assert (Array.length config.sigma0_grid > 0);
   let pool = Cbmf_parallel.Pool.default () in

@@ -47,3 +47,8 @@ val greedy_pass :
     after each step (length = number of steps actually taken). *)
 
 val run : ?config:config -> Dataset.t -> result
+(** The whole initializer: the (r0, σ0, θ) cross-validation grid, then
+    a refit of the winning triple on all samples.  Raises
+    [Invalid_argument] naming both numbers unless
+    [2 <= config.n_folds <= n_samples] (every fold needs a test row in
+    every state), before any other work. *)

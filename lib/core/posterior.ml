@@ -236,8 +236,9 @@ let compute_dual ~need_sigma ws (d : Dataset.t) (prior : Prior.t) ~active
          - aK > NK (the EM warm-up, where every λ is live) — the TRSM
            would cost O((NK)²·aK) ≫ O((NK)³), so instead materialize
            G⁻¹ = L⁻ᵀ·L⁻¹ once with blocked kernels (triangular
-           inversion + SYRK) and contract each state-pair block
-           through a blocked GEMM, O((NK)³ + (NK)²·a) total. *)
+           inversion, then a SYRK that skips the rows' zero prefixes:
+           (NK)³/6 each) and contract each state-pair block through
+           a blocked GEMM, O((NK)³/3 + (NK)²·a) total. *)
       let ak = a * k in
       let comp = r_components prior.Prior.r in
       let w = Array.init a (fun _ -> Mat.create k k) in
@@ -288,10 +289,7 @@ let compute_dual ~need_sigma ws (d : Dataset.t) (prior : Prior.t) ~active
         else begin
           let linv_t = Chol.lower_inverse_t chol in
           (* Tr(G⁻¹) = ‖L⁻¹‖_F² comes free from the same factor. *)
-          let trace_ginv = ref 0.0 in
-          Array.iter
-            (fun x -> trace_ginv := !trace_ginv +. (x *. x))
-            linv_t.Mat.data;
+          let trace_ginv = Vec.norm2_sq linv_t.Mat.data in
           let ginv = Mat.syrk_nt linv_t in
           Cbmf_parallel.Pool.parallel_for pool ~n:(Array.length pairs)
             (fun pair_i ->
@@ -326,7 +324,7 @@ let compute_dual ~need_sigma ws (d : Dataset.t) (prior : Prior.t) ~active
                   if k1 <> k2 then Mat.set w.(j) k2 k1 acc.(j)
                 done
               end);
-          !trace_ginv
+          trace_ginv
         end
       in
       let blocks =

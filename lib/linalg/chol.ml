@@ -6,19 +6,26 @@ type t = {
 
 exception Not_positive_definite of int
 
-let factorize ?(jitter = 0.0) (a : Mat.t) =
+(* Copy the lower triangle of [a] (with jitter on the diagonal). *)
+let lower_copy ~jitter (a : Mat.t) =
   assert (Mat.is_square a);
   let n = a.Mat.rows in
   let l = Array.make (n * n) 0.0 in
-  (* Copy the lower triangle (with jitter on the diagonal). *)
   for i = 0 to n - 1 do
     for j = 0 to i do
       l.((i * n) + j) <-
         (a.Mat.data.((i * n) + j) +. if i = j then jitter else 0.0)
     done
   done;
-  (* Left-looking Cholesky on the packed copy. *)
-  for j = 0 to n - 1 do
+  l
+
+(* Left-looking Cholesky of columns [j0, j1), rows below the pivot up
+   to [ihi) only, in place on the packed copy: entry (i, j) starts at
+   a_ij, subtracts l_ik·l_jk for k = 0 … j−1 in that order and is
+   divided by l_jj.  Over the whole matrix this is the reference
+   factorization. *)
+let factor_columns l n ~j0 ~j1 ~ihi =
+  for j = j0 to j1 - 1 do
     let jj = (j * n) + j in
     let s = ref l.(jj) in
     for k = 0 to j - 1 do
@@ -28,13 +35,122 @@ let factorize ?(jitter = 0.0) (a : Mat.t) =
     if !s <= 0.0 || Float.is_nan !s then raise (Not_positive_definite j);
     let d = sqrt !s in
     l.(jj) <- d;
-    for i = j + 1 to n - 1 do
+    for i = j + 1 to ihi - 1 do
       let s = ref l.((i * n) + j) in
       for k = 0 to j - 1 do
         s := !s -. (l.((i * n) + k) *. l.((j * n) + k))
       done;
       l.((i * n) + j) <- !s /. d
     done
+  done
+
+let factorize_naive ?(jitter = 0.0) (a : Mat.t) =
+  let n = a.Mat.rows in
+  let l = lower_copy ~jitter a in
+  factor_columns l n ~j0:0 ~j1:n ~ihi:n;
+  { n; l; jitter }
+
+(* --- Blocked factorization ----------------------------------------------
+   Every entry keeps the reference's own accumulator and its ascending-k
+   sequence of operations.  OCaml never contracts a·b − c into a fused
+   multiply-add, so computing several entries side by side, in any
+   order that respects their dependencies, rounds each one exactly as
+   {!factorize_naive} does — at any domain count.
+
+   Columns go in blocks of [block].  The diagonal block is factored by
+   the reference loop in ascending j, so every pivot check, and the
+   index a failure reports, comes in the same order.  The rows below
+   it then depend only on the finished diagonal block and on their own
+   earlier columns: they are independent, computed as 2-row × 2-column
+   register tiles, and fanned over the pool by {!Mat.fan_items}. *)
+let block = 32
+
+(* Columns [j0, j1) of rows [i] and [i + 1].  In a tile the sums over
+   k < j are shared; column j + 1's last term, k = j, needs the
+   finished l_ij and comes after it. *)
+let panel_pair l n ~j0 ~j1 i =
+  let ri0 = i * n and ri1 = (i + 1) * n in
+  let j = ref j0 in
+  while !j + 1 < j1 do
+    let jj = !j in
+    let rj0 = jj * n and rj1 = (jj + 1) * n in
+    let s00 = ref (Array.unsafe_get l (ri0 + jj))
+    and s01 = ref (Array.unsafe_get l (ri0 + jj + 1))
+    and s10 = ref (Array.unsafe_get l (ri1 + jj))
+    and s11 = ref (Array.unsafe_get l (ri1 + jj + 1)) in
+    for k = 0 to jj - 1 do
+      let a0 = Array.unsafe_get l (ri0 + k)
+      and a1 = Array.unsafe_get l (ri1 + k)
+      and b0 = Array.unsafe_get l (rj0 + k)
+      and b1 = Array.unsafe_get l (rj1 + k) in
+      s00 := !s00 -. (a0 *. b0);
+      s01 := !s01 -. (a0 *. b1);
+      s10 := !s10 -. (a1 *. b0);
+      s11 := !s11 -. (a1 *. b1)
+    done;
+    let d0 = Array.unsafe_get l (rj0 + jj) in
+    let v0 = !s00 /. d0 and v1 = !s10 /. d0 in
+    Array.unsafe_set l (ri0 + jj) v0;
+    Array.unsafe_set l (ri1 + jj) v1;
+    let b = Array.unsafe_get l (rj1 + jj)
+    and d1 = Array.unsafe_get l (rj1 + jj + 1) in
+    Array.unsafe_set l (ri0 + jj + 1) ((!s01 -. (v0 *. b)) /. d1);
+    Array.unsafe_set l (ri1 + jj + 1) ((!s11 -. (v1 *. b)) /. d1);
+    j := jj + 2
+  done;
+  if !j < j1 then begin
+    let jj = !j in
+    let rj = jj * n in
+    let s0 = ref (Array.unsafe_get l (ri0 + jj))
+    and s1 = ref (Array.unsafe_get l (ri1 + jj)) in
+    for k = 0 to jj - 1 do
+      let b = Array.unsafe_get l (rj + k) in
+      s0 := !s0 -. (Array.unsafe_get l (ri0 + k) *. b);
+      s1 := !s1 -. (Array.unsafe_get l (ri1 + k) *. b)
+    done;
+    let d = Array.unsafe_get l (rj + jj) in
+    Array.unsafe_set l (ri0 + jj) (!s0 /. d);
+    Array.unsafe_set l (ri1 + jj) (!s1 /. d)
+  end
+
+(* Columns [j0, j1) of the odd last row [i]. *)
+let panel_row l n ~j0 ~j1 i =
+  let ri = i * n in
+  for j = j0 to j1 - 1 do
+    let rj = j * n in
+    let s = ref (Array.unsafe_get l (ri + j)) in
+    for k = 0 to j - 1 do
+      s := !s -. (Array.unsafe_get l (ri + k) *. Array.unsafe_get l (rj + k))
+    done;
+    Array.unsafe_set l (ri + j) (!s /. Array.unsafe_get l (rj + j))
+  done
+
+(* Rows [j1, n) of columns [j0, j1), by row pairs. *)
+let panel l n ~j0 ~j1 =
+  let rows = n - j1 in
+  let pairs = rows / 2 in
+  let items = pairs + (rows land 1) in
+  let body idx =
+    if idx < pairs then panel_pair l n ~j0 ~j1 (j1 + (2 * idx))
+    else panel_row l n ~j0 ~j1 (n - 1)
+  in
+  let w = j1 - j0 in
+  let pair_flops =
+    2.0 *. float_of_int w *. (float_of_int j0 +. (0.5 *. float_of_int w))
+  in
+  Mat.fan_items
+    ~flops:(float_of_int pairs *. pair_flops)
+    ~item_cost_ns:pair_flops ~items body
+
+let factorize ?(jitter = 0.0) (a : Mat.t) =
+  let n = a.Mat.rows in
+  let l = lower_copy ~jitter a in
+  let j0 = ref 0 in
+  while !j0 < n do
+    let j1 = Stdlib.min n (!j0 + block) in
+    factor_columns l n ~j0:!j0 ~j1 ~ihi:j1;
+    panel l n ~j0:!j0 ~j1;
+    j0 := j1
   done;
   { n; l; jitter }
 
@@ -228,28 +344,7 @@ let quad_inv f b =
   let z = forward_sub f b in
   Vec.norm2_sq z
 
-let trace_inverse f =
-  (* Tr(a⁻¹) = ‖l⁻¹‖_F²: solve l z = e_i for each i and accumulate. *)
-  let n = f.n in
-  let acc = ref 0.0 in
-  let e = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    Array.fill e 0 n 0.0;
-    e.(i) <- 1.0;
-    (* Only components ≥ i of l⁻¹ e_i are nonzero; exploit that. *)
-    let z = Array.make n 0.0 in
-    for r = i to n - 1 do
-      let s = ref e.(r) in
-      for k = i to r - 1 do
-        s := !s -. (f.l.((r * n) + k) *. z.(k))
-      done;
-      z.(r) <- !s /. f.l.((r * n) + r);
-      acc := !acc +. (z.(r) *. z.(r))
-    done
-  done;
-  !acc
-
-let lower_inverse_t f =
+let lower_inverse_t_naive f =
   (* Row u of the result is l⁻¹·e_u, i.e. the result is (l⁻¹)ᵀ.  The
      solve for e_u only touches components ≥ u, so each row write is
      contiguous and the total cost is Σ_u (n−u)²/2 = n³/6. *)
@@ -269,6 +364,85 @@ let lower_inverse_t f =
     done
   done;
   out
+
+(* Rows [u] and [u + 1] of (l⁻¹)ᵀ as 2×2 tiles: entries r, r + 1 of
+   both rows per pass, so each pass streams two rows of l once for four
+   sums.  Row u's w = u term comes first, alone (row u + 1 starts at
+   w = u + 1); entry r + 1's last term, w = r, needs the finished
+   entry r and comes after it.  Each entry keeps the reference's
+   accumulator and ascending-w order. *)
+let lower_inverse_pair l n od u =
+  let row0 = u * n and row1 = (u + 1) * n in
+  let x0 = 1.0 /. Array.unsafe_get l (row0 + u) in
+  Array.unsafe_set od (row0 + u) x0;
+  Array.unsafe_set od (row1 + u + 1) (1.0 /. Array.unsafe_get l (row1 + u + 1));
+  Array.unsafe_set od (row0 + u + 1)
+    ((0.0 -. (Array.unsafe_get l (row1 + u) *. x0))
+    /. Array.unsafe_get l (row1 + u + 1));
+  let r = ref (u + 2) in
+  while !r + 1 < n do
+    let rr = !r in
+    let lr0 = rr * n and lr1 = (rr + 1) * n in
+    let s00 = ref (0.0 -. (Array.unsafe_get l (lr0 + u) *. x0))
+    and s01 = ref (0.0 -. (Array.unsafe_get l (lr1 + u) *. x0))
+    and s10 = ref 0.0
+    and s11 = ref 0.0 in
+    for w = u + 1 to rr - 1 do
+      let a0 = Array.unsafe_get l (lr0 + w)
+      and a1 = Array.unsafe_get l (lr1 + w)
+      and y0 = Array.unsafe_get od (row0 + w)
+      and y1 = Array.unsafe_get od (row1 + w) in
+      s00 := !s00 -. (a0 *. y0);
+      s01 := !s01 -. (a1 *. y0);
+      s10 := !s10 -. (a0 *. y1);
+      s11 := !s11 -. (a1 *. y1)
+    done;
+    let d0 = Array.unsafe_get l (lr0 + rr) in
+    let v0 = !s00 /. d0 and v1 = !s10 /. d0 in
+    Array.unsafe_set od (row0 + rr) v0;
+    Array.unsafe_set od (row1 + rr) v1;
+    let b = Array.unsafe_get l (lr1 + rr)
+    and d1 = Array.unsafe_get l (lr1 + rr + 1) in
+    Array.unsafe_set od (row0 + rr + 1) ((!s01 -. (b *. v0)) /. d1);
+    Array.unsafe_set od (row1 + rr + 1) ((!s11 -. (b *. v1)) /. d1);
+    r := rr + 2
+  done;
+  if !r < n then begin
+    let rr = !r in
+    let lr = rr * n in
+    let s0 = ref (0.0 -. (Array.unsafe_get l (lr + u) *. x0))
+    and s1 = ref 0.0 in
+    for w = u + 1 to rr - 1 do
+      let a = Array.unsafe_get l (lr + w) in
+      s0 := !s0 -. (a *. Array.unsafe_get od (row0 + w));
+      s1 := !s1 -. (a *. Array.unsafe_get od (row1 + w))
+    done;
+    let d = Array.unsafe_get l (lr + rr) in
+    Array.unsafe_set od (row0 + rr) (!s0 /. d);
+    Array.unsafe_set od (row1 + rr) (!s1 /. d)
+  end
+
+let lower_inverse_t f =
+  let n = f.n in
+  let out = Mat.create n n in
+  let od = out.Mat.data and l = f.l in
+  let pairs = n / 2 in
+  let items = pairs + (n land 1) in
+  let body idx =
+    if idx < pairs then lower_inverse_pair l n od (2 * idx)
+    else od.((n * n) - 1) <- 1.0 /. l.((n * n) - 1)
+  in
+  (* Pair costs fall as (n − u)²; the mean prices the chunks, and the
+     cursor absorbs the skew. *)
+  let pair_flops = float_of_int (n * n) /. 3.0 in
+  Mat.fan_items
+    ~flops:(float_of_int pairs *. pair_flops)
+    ~item_cost_ns:pair_flops ~items body;
+  out
+
+(* Tr(a⁻¹) = ‖l⁻¹‖_F²: the same sum of squares, row by row, that the
+   solve for each e_i accumulates. *)
+let trace_inverse f = Vec.norm2_sq (lower_inverse_t f).Mat.data
 
 let mahalanobis_sq f x mu = quad_inv f (Vec.sub x mu)
 

@@ -15,7 +15,19 @@ val factorize : ?jitter:float -> Mat.t -> t
     positive definite [a].  [jitter] (default [0.]) is added to the
     diagonal before factorizing — useful for nearly-singular PD
     matrices.  Raises {!Not_positive_definite} on failure.  Only the
-    lower triangle of [a] is read. *)
+    lower triangle of [a] is read.
+
+    Blocked and left-looking, 32 columns at a time.  The diagonal block
+    is factored in ascending pivot order; the rows below it go as 2×2
+    register tiles, fanned over {!Cbmf_parallel.Pool.default} by
+    {!Mat.fan_items} when the panel is worth it.  Every entry keeps its
+    own accumulator and ascending-k order, so the factor, the pivot
+    checks and the index {!Not_positive_definite} carries are
+    bit-identical to {!factorize_naive} at any domain count. *)
+
+val factorize_naive : ?jitter:float -> Mat.t -> t
+(** Reference unblocked left-looking loop: the oracle for
+    {!factorize}. *)
 
 val factorize_with_retry : ?max_tries:int -> Mat.t -> t
 (** Like {!factorize} but on failure retries with exponentially growing
@@ -70,13 +82,22 @@ val quad_inv : t -> Vec.t -> float
 (** [quad_inv f b] is [bᵀ a⁻¹ b], computed stably via {!solve_lower}. *)
 
 val trace_inverse : t -> float
-(** [Tr(a⁻¹)] in O(n³/3) without forming the inverse. *)
+(** [Tr(a⁻¹) = ‖l⁻¹‖_F²], the sum of squares of {!lower_inverse_t}
+    in row order, O(n³/6). *)
 
 val lower_inverse_t : t -> Mat.t
 (** [(l⁻¹)ᵀ] as a dense matrix: row [u] holds [l⁻¹·e_u] (supported on
-    columns ≥ u), computed in O(n³/6).  Selected entries of [a⁻¹] are
-    then contiguous row dots, [a⁻¹[u,v] = Σ_w out[u,w]·out[v,w]] —
-    cheaper than a full inverse when only a few entries are needed. *)
+    columns ≥ u, exact [+0] below), computed in O(n³/6).  Selected
+    entries of [a⁻¹] are then contiguous row dots,
+    [a⁻¹[u,v] = Σ_w out[u,w]·out[v,w]], and {!Mat.syrk_nt} of it is
+    [a⁻¹] in another n³/6.  Rows are independent: 2×2 tiles (two rows,
+    two entries) share their loads, and row pairs fan over
+    {!Cbmf_parallel.Pool.default} by {!Mat.fan_items}.
+    Bit-identical to {!lower_inverse_t_naive} at any domain count. *)
+
+val lower_inverse_t_naive : t -> Mat.t
+(** Reference one-entry-at-a-time loop: the oracle for
+    {!lower_inverse_t}. *)
 
 val mahalanobis_sq : t -> Vec.t -> Vec.t -> float
 (** [mahalanobis_sq f x mu] is [(x-mu)ᵀ a⁻¹ (x-mu)]. *)

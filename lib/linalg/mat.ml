@@ -374,6 +374,22 @@ let fan_rows pool ~m ~row_cost_ns body =
       let ilo = pi * panel in
       body ~ilo ~ihi:(Stdlib.min m (ilo + panel)))
 
+(* Items [0, items) in order on the calling domain, or fanned over the
+   pool when the guard allows a job of [flops] — the per-item kernels
+   write only what their index owns, so either way gives the same bits.
+   [item_cost_ns] prices one item for the chunk size. *)
+let fan_items ~flops ~item_cost_ns ~items body =
+  match par_pool ~flops with
+  | Some pool when items >= 2 ->
+      let chunk =
+        Tune.chunk ~cost_hint_ns:item_cost_ns ~size:(Pool.size pool) ~n:items ()
+      in
+      Pool.parallel_for ~chunk pool ~n:items body
+  | _ ->
+      for idx = 0 to items - 1 do
+        body idx
+      done
+
 let matmul_into_data a b c =
   let m = a.rows and n = b.cols and p = a.cols in
   let ad = a.data and bd = b.data in
@@ -456,19 +472,10 @@ let matmul_nt_into_data a b c =
     if idx < n_pairs then nt_pair ad bd c ~n ~p (2 * idx)
     else nt_row ad bd c ~n ~p (m - 1)
   in
-  let flops = float_of_int m *. float_of_int n *. float_of_int p in
-  match par_pool ~flops with
-  | Some pool when items >= 2 ->
-      let chunk =
-        Tune.chunk
-          ~cost_hint_ns:(2.0 *. float_of_int (n * p))
-          ~size:(Pool.size pool) ~n:items ()
-      in
-      Pool.parallel_for ~chunk pool ~n:items body
-  | _ ->
-      for idx = 0 to items - 1 do
-        body idx
-      done
+  fan_items
+    ~flops:(float_of_int m *. float_of_int n *. float_of_int p)
+    ~item_cost_ns:(2.0 *. float_of_int (n * p))
+    ~items body
 
 let matmul_nt a b =
   assert (a.cols = b.cols);
@@ -550,9 +557,10 @@ let matmul_tn a b =
 
 (* Symmetric rank-k updates: only the upper triangle is accumulated,
    then mirrored — half the multiply-adds of the general product.
-   Parallel fan-out is over row panels of the triangle (each index
-   owns rows [ilo, ihi) of the upper part and, for [syrk_nt], the
-   matching column of the lower part); the mirror stays sequential. *)
+   [syrk_tn] fans out over row panels of the triangle (each index owns
+   rows [ilo, ihi) of the upper part; the mirror stays sequential),
+   [syrk_nt] over row pairs (each pair also writes the matching
+   columns of the lower part). *)
 let syrk_tn_rows ad c ~n ~p ~ilo ~ihi =
   for k = 0 to p - 1 do
     let arow = k * n in
@@ -589,8 +597,11 @@ let syrk_tn a =
   done;
   { rows = n; cols = n; data = c }
 
-let syrk_nt_rows ad c ~m ~p ~ilo ~ihi =
-  for i = ilo to ihi - 1 do
+let syrk_nt_naive a =
+  let m = a.rows and p = a.cols in
+  let c = Array.make (m * m) 0.0 in
+  let ad = a.data in
+  for i = 0 to m - 1 do
     let arow = i * p in
     for j = i to m - 1 do
       let brow = j * p in
@@ -603,19 +614,106 @@ let syrk_nt_rows ad c ~m ~p ~ilo ~ihi =
       Array.unsafe_set c ((i * m) + j) !acc;
       Array.unsafe_set c ((j * m) + i) !acc
     done
-  done
+  done;
+  { rows = m; cols = m; data = c }
+
+(* [syrk_nt] starts each dot (i, j) at the later of the two rows' first
+   nonzeros: every earlier product has a zero factor, so for finite
+   entries it is ±0, and ±0 added to the +0 accumulator leaves +0 — the
+   skip changes no bit.  The 2×2 tiles of [syrk_pair] start their shared
+   loop at the earliest start of the four entries, which is the same
+   argument for the entries that could have started later.  Rows of a
+   triangular factor inverse start at their own index, so its Gram
+   matrix costs n³/6 multiply-adds instead of n³/2. *)
+let first_nonzeros ad ~m ~p =
+  Array.init m (fun i ->
+      let row = i * p in
+      let k = ref 0 in
+      while !k < p && Array.unsafe_get ad (row + !k) = 0.0 do
+        incr k
+      done;
+      !k)
+
+let syrk_set c ~m i j x =
+  Array.unsafe_set c ((i * m) + j) x;
+  Array.unsafe_set c ((j * m) + i) x
+
+(* Upper-triangle entries of rows [i0] and [i0 + 1], mirrored. *)
+let syrk_pair ad c fz ~m ~p i0 =
+  let i1 = i0 + 1 in
+  let ar0 = i0 * p and ar1 = i1 * p in
+  let fi = Stdlib.min fz.(i0) fz.(i1) in
+  (* The diagonal tile: (i0, i0), (i0, i1), (i1, i1). *)
+  let s00 = ref 0.0 and s01 = ref 0.0 and s11 = ref 0.0 in
+  for k = fi to p - 1 do
+    let a0 = Array.unsafe_get ad (ar0 + k)
+    and a1 = Array.unsafe_get ad (ar1 + k) in
+    s00 := !s00 +. (a0 *. a0);
+    s01 := !s01 +. (a0 *. a1);
+    s11 := !s11 +. (a1 *. a1)
+  done;
+  syrk_set c ~m i0 i0 !s00;
+  syrk_set c ~m i0 i1 !s01;
+  syrk_set c ~m i1 i1 !s11;
+  let j = ref (i0 + 2) in
+  while !j + 1 < m do
+    let jj = !j in
+    let br0 = jj * p and br1 = (jj + 1) * p in
+    let k0 = Stdlib.max fi (Stdlib.min fz.(jj) fz.(jj + 1)) in
+    let s00 = ref 0.0 and s01 = ref 0.0 and s10 = ref 0.0 and s11 = ref 0.0 in
+    for k = k0 to p - 1 do
+      let a0 = Array.unsafe_get ad (ar0 + k)
+      and a1 = Array.unsafe_get ad (ar1 + k)
+      and b0 = Array.unsafe_get ad (br0 + k)
+      and b1 = Array.unsafe_get ad (br1 + k) in
+      s00 := !s00 +. (a0 *. b0);
+      s01 := !s01 +. (a0 *. b1);
+      s10 := !s10 +. (a1 *. b0);
+      s11 := !s11 +. (a1 *. b1)
+    done;
+    syrk_set c ~m i0 jj !s00;
+    syrk_set c ~m i0 (jj + 1) !s01;
+    syrk_set c ~m i1 jj !s10;
+    syrk_set c ~m i1 (jj + 1) !s11;
+    j := jj + 2
+  done;
+  if !j < m then begin
+    let jj = !j in
+    let br = jj * p in
+    let s0 = ref 0.0 and s1 = ref 0.0 in
+    for k = Stdlib.max fi fz.(jj) to p - 1 do
+      let b = Array.unsafe_get ad (br + k) in
+      s0 := !s0 +. (Array.unsafe_get ad (ar0 + k) *. b);
+      s1 := !s1 +. (Array.unsafe_get ad (ar1 + k) *. b)
+    done;
+    syrk_set c ~m i0 jj !s0;
+    syrk_set c ~m i1 jj !s1
+  end
 
 let syrk_nt a =
   let m = a.rows and p = a.cols in
   let c = Array.make (m * m) 0.0 in
   let ad = a.data in
-  let flops = 0.5 *. float_of_int (m * m) *. float_of_int p in
-  (match par_pool ~flops with
-  | Some pool when m >= 2 ->
-      fan_rows pool ~m
-        ~row_cost_ns:(0.5 *. float_of_int (m * p))
-        (fun ~ilo ~ihi -> syrk_nt_rows ad c ~m ~p ~ilo ~ihi)
-  | _ -> syrk_nt_rows ad c ~m ~p ~ilo:0 ~ihi:m);
+  let fz = first_nonzeros ad ~m ~p in
+  let pairs = m / 2 in
+  let items = pairs + (m land 1) in
+  let body idx =
+    if idx < pairs then syrk_pair ad c fz ~m ~p (2 * idx)
+    else begin
+      (* The odd last row owns only its diagonal entry. *)
+      let i = m - 1 in
+      let ar = i * p in
+      let acc = ref 0.0 in
+      for k = fz.(i) to p - 1 do
+        let x = Array.unsafe_get ad (ar + k) in
+        acc := !acc +. (x *. x)
+      done;
+      Array.unsafe_set c ((i * m) + i) !acc
+    end
+  in
+  let live = Array.fold_left (fun acc f -> acc + (p - f)) 0 fz in
+  let flops = 0.5 *. float_of_int m *. float_of_int live in
+  fan_items ~flops ~item_cost_ns:(flops /. float_of_int items) ~items body;
   { rows = m; cols = m; data = c }
 
 (* Fused weighted product a·diag(w)·bᵀ.  The weighted row of [a] is

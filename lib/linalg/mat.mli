@@ -105,6 +105,19 @@ val add_diag_inplace : t -> float -> unit
     write into a caller-owned destination (fully overwriting it) so
     hot loops can reuse arena buffers instead of allocating. *)
 
+val fan_items :
+  flops:float -> item_cost_ns:float -> items:int -> (int -> unit) -> unit
+(** [fan_items ~flops ~item_cost_ns ~items body] runs [body 0 …
+    body (items − 1)]: over {!Cbmf_parallel.Pool.default} when a job of
+    about [flops] multiply-adds is worth waking it for, otherwise in
+    order on the calling domain.  The guard the GEMM panels use: a
+    cheap pre-check turns small jobs down before the pool is even
+    looked up, calls from inside a pool task and 1-domain pools stay
+    put, and the rest is {!Cbmf_parallel.Tune.gemm_fanout}'s call.
+    [item_cost_ns] prices one item for the chunk size.  [body] must
+    write only what its index owns; the kernels here and in {!Chol}
+    then give the same bits either way. *)
+
 val matmul : t -> t -> t
 (** [matmul a b] is [a * b] (cache-blocked, k-unrolled kernel; the
     parallel path packs [b] into tile-contiguous panels once per
@@ -135,7 +148,18 @@ val syrk_tn : t -> t
     the upper triangle and mirroring — half the work of {!matmul_tn}. *)
 
 val syrk_nt : t -> t
-(** [syrk_nt a] is [a aᵀ], upper triangle only then mirrored. *)
+(** [syrk_nt a] is [a aᵀ], upper triangle only then mirrored, by 2×2
+    register tiles fanned over row pairs.  Each dot [(i, j)] starts at
+    the later of rows [i] and [j]'s first nonzero entries, found once
+    per call: for finite [a] every skipped product is [±0] and leaves
+    the [+0] accumulator unchanged, so the result is bit-identical to
+    {!syrk_nt_naive}.  On rows that start at their own index — the
+    [(l⁻¹)ᵀ] of {!Chol.lower_inverse_t} — that is [n³/6]
+    multiply-adds instead of [n³/2]. *)
+
+val syrk_nt_naive : t -> t
+(** Reference row-dot [a aᵀ] over every column: the oracle for
+    {!syrk_nt}. *)
 
 val matmul_nt_weighted : t -> Vec.t -> t -> t
 (** [matmul_nt_weighted a w b] is [a · diag(w) · bᵀ] with the weighting

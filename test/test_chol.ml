@@ -337,6 +337,127 @@ let test_explicit_jitter () =
     (log 1.001 +. log 1e-3 +. log 2.001)
     (Chol.log_det (Chol.factorize ~jitter:1e-3 psd))
 
+(* --- Blocked kernels vs the reference loops ---
+
+   Each kernel is checked bit for bit against its [_naive] reference
+   at 1, 2 and 4 domains.  Sizes straddle the 32-column block and the
+   2-row tiles; the largest clear the fan-out guard, so the pool really
+   runs.  Local generators keep the shared stream untouched. *)
+
+module Pool = Cbmf_parallel.Pool
+
+let at_domains f =
+  Fun.protect
+    ~finally:(fun () -> Pool.set_default_size (Pool.env_domains ()))
+    (fun () ->
+      List.iter
+        (fun d ->
+          Pool.set_default_size d;
+          f d)
+        [ 1; 2; 4 ])
+
+let factor_bits fact ?jitter a = (Chol.lower (fact ?jitter a)).Mat.data
+
+(* factorize, with and without an explicit jitter, and lower_inverse_t
+   all equal their references' bits on a seeded SPD matrix. *)
+let kernels_match n seed =
+  let a = Seeded.random_spd (Cbmf_prob.Rng.create seed) n in
+  let jitter = 0.03125 *. float_of_int (1 + (seed mod 7)) in
+  let f = Chol.factorize a in
+  vec_bits_equal (factor_bits Chol.factorize_naive a) (Chol.lower f).Mat.data
+  && vec_bits_equal
+       (factor_bits Chol.factorize_naive ~jitter a)
+       (factor_bits Chol.factorize ~jitter a)
+  && vec_bits_equal (Chol.lower_inverse_t_naive f).Mat.data
+       (Chol.lower_inverse_t f).Mat.data
+
+let test_kernels_random_n () =
+  at_domains (fun d ->
+      QCheck2.Test.check_exn ~rand:(Random.State.make [| 19; d |])
+        (QCheck2.Test.make ~count:20
+           ~name:(Printf.sprintf "blocked = naive (bits), %d domain(s)" d)
+           QCheck2.Gen.(pair (int_range 1 200) (int_bound 1_000_000))
+           (fun (n, seed) -> kernels_match n seed)))
+
+let test_kernels_fixed_n () =
+  at_domains (fun d ->
+      List.iter
+        (fun n ->
+          check_true
+            (Printf.sprintf "n=%d, %d domain(s)" n d)
+            (kernels_match n (3 * n)))
+        [ 1; 2; 31; 32; 33; 65; 97; 700 ])
+
+(* The pivot a failure reports: an indefinite pivot in the first block
+   and in a later one, and a NaN below the diagonal that reaches pivot
+   400 through the panels of the blocks in between. *)
+let test_not_pd_index_matches () =
+  let base = Seeded.random_spd (Cbmf_prob.Rng.create 61) 480 in
+  let with_entry i j x =
+    let a = Mat.copy base in
+    Mat.set a i j x;
+    a
+  in
+  let failing fact a =
+    match fact a with
+    | _ -> -1
+    | exception Chol.Not_positive_definite j -> j
+  in
+  at_domains (fun d ->
+      List.iter
+        (fun (name, a, expected) ->
+          let tag = Printf.sprintf "%s, %d domain(s)" name d in
+          check_int (tag ^ ": reference")
+            expected (failing Chol.factorize_naive a);
+          check_int tag expected (failing Chol.factorize a))
+        [ ("indefinite in block 0", with_entry 5 5 (-1.0), 5);
+          ("indefinite in block 9", with_entry 300 300 (-1.0), 300);
+          ("NaN entry", with_entry 400 40 Float.nan, 400) ])
+
+(* Row and column 90 zeroed with a −1e-9 pivot: the first two jitters
+   (0 and 1e-12·max|a|) leave the pivot negative, the third repairs
+   it. *)
+let test_retry_matches_reference () =
+  let n = 120 in
+  let a = Mat.copy (Seeded.random_spd (Cbmf_prob.Rng.create 67) n) in
+  for k = 0 to n - 1 do
+    Mat.set a 90 k 0.0;
+    Mat.set a k 90 0.0
+  done;
+  Mat.set a 90 90 (-1e-9);
+  at_domains (fun d ->
+      let diag = Cbmf_robust.Diag.create () in
+      let f =
+        Cbmf_robust.Diag.with_current diag (fun () ->
+            Chol.factorize_with_retry a)
+      in
+      let tag = Printf.sprintf "%d domain(s)" d in
+      check_float ~tol:0.0 ("jitter: " ^ tag)
+        (1e-12 *. Mat.max_abs a *. 100.0)
+        (Chol.jitter f);
+      check_true ("bits = reference at that jitter: " ^ tag)
+        (vec_bits_equal
+           (factor_bits Chol.factorize_naive ~jitter:(Chol.jitter f) a)
+           (Chol.lower f).Mat.data);
+      check_true ("one Not_pd note, 2 tries: " ^ tag)
+        (Cbmf_robust.Diag.faults diag
+        = [| Cbmf_robust.Fault.Not_pd
+               { site = "chol.factorize"; dim = n; tries = 2 } |]))
+
+(* Pinned bits of Tr(a⁻¹) on seeded inputs: the trace must not move
+   when the kernel under it does. *)
+let test_trace_inverse_pinned () =
+  at_domains (fun d ->
+      List.iter
+        (fun (n, bits) ->
+          let a = Seeded.random_spd (Cbmf_prob.Rng.create (1000 + n)) n in
+          check_true
+            (Printf.sprintf "n=%d, %d domain(s)" n d)
+            (Int64.equal bits
+               (Int64.bits_of_float (Chol.trace_inverse (Chol.factorize a)))))
+        [ (1, 4609329916078788018L); (7, 4607928676309687605L);
+          (33, 4606967526684275894L); (200, 4607115720191022839L) ])
+
 let suite =
   [ ( "linalg.chol",
       [ case "reconstruct" test_reconstruct;
@@ -364,4 +485,14 @@ let suite =
         case "correlated draws: mean and covariance" test_correlated_draws;
         case "solve_lower_mat_inplace = solve_lower_mat (bits)"
           test_solve_lower_mat_inplace;
-        case "explicit jitter = factor of a + c·I (bits)" test_explicit_jitter ] ) ]
+        case "explicit jitter = factor of a + c·I (bits)" test_explicit_jitter;
+        case "blocked kernels = naive (bits), random n, 1/2/4 domains"
+          test_kernels_random_n;
+        case "blocked kernels = naive (bits), fixed n, 1/2/4 domains"
+          test_kernels_fixed_n;
+        case "Not_positive_definite index = naive, 1/2/4 domains"
+          test_not_pd_index_matches;
+        case "jitter retry: bits and Diag note, 1/2/4 domains"
+          test_retry_matches_reference;
+        case "trace_inverse pinned bits, 1/2/4 domains"
+          test_trace_inverse_pinned ] ) ]

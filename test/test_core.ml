@@ -424,6 +424,22 @@ let test_init_golden () =
             (Int64.equal (init_golden_run ()) init_golden_hash))
         [ 1; 2 ])
 
+(* Cross-validation needs a test row per fold in every state: fewer
+   samples per state than folds, or fewer than two folds, is rejected
+   before any work. *)
+let test_init_too_few_samples () =
+  List.iter
+    (fun n ->
+      check_raises_invalid
+        (Printf.sprintf "N = %d under fast_config" n)
+        (fun () -> Cbmf.fit ~config:Cbmf.fast_config (planted ~n ())))
+    [ 1; 2 ];
+  check_raises_invalid "n_folds = 1" (fun () ->
+      Init.run ~config:{ Init.default_config with n_folds = 1 } (planted ()));
+  let model = Cbmf.fit ~config:Cbmf.fast_config (planted ~n:3 ()) in
+  check_true "N = 3 fits"
+    (Array.for_all Float.is_finite model.Cbmf.coeffs.Mat.data)
+
 (* --- Cbmf end-to-end --- *)
 
 let test_cbmf_beats_somp_small_n () =
@@ -560,6 +576,34 @@ let test_posterior_predictive_consistency () =
   in
   check_true "posterior tighter than prior" (var <= a_aa +. 1e-9)
 
+(* --- Degenerate shapes ---
+
+   Each fits under fast_config with finite coefficients and a finite
+   held-out error on the synthetic ground truth. *)
+
+let degenerate_fit name ~n (spec : Cbmf_circuit.Synthetic.spec) =
+  let module Synthetic = Cbmf_circuit.Synthetic in
+  let truth = Synthetic.truth spec in
+  let model =
+    Cbmf.fit ~config:Cbmf.fast_config (Synthetic.dataset truth ~n_per_state:n)
+  in
+  check_true (name ^ ": finite coefficients")
+    (Array.for_all Float.is_finite model.Cbmf.coeffs.Mat.data);
+  let err =
+    Cbmf.test_error model (Synthetic.test_dataset truth ~n_per_state:20)
+  in
+  check_true (Printf.sprintf "%s: finite held-out error (%g)" name err)
+    (Float.is_finite err)
+
+let test_degenerate_shapes () =
+  let spec = Cbmf_circuit.Synthetic.default_spec in
+  degenerate_fit "K = 1" ~n:8 { spec with k = 1 };
+  degenerate_fit "rho = 0.999999 (near-singular R)" ~n:8
+    { spec with rho = 0.999999 };
+  degenerate_fit "d < M (M = 21, d = 10)" ~n:3
+    { spec with m = 21; d = 10; active_per_state = 4 };
+  degenerate_fit "sigma = 0" ~n:8 { spec with noise_sigma = 0.0 }
+
 let suite_uncertainty =
   [ ( "core.uncertainty",
       [ case "mean matches coefficients" test_uncertainty_mean_matches_coeffs;
@@ -603,11 +647,14 @@ let suite =
         case "prior shape" test_init_prior_shape;
         case "greedy pass errors" test_greedy_pass_errors_shape;
         case "incremental consistency" test_greedy_pass_incremental_matches_posterior;
-        case "pinned golden (1 and 2 domains)" test_init_golden ] );
+        case "pinned golden (1 and 2 domains)" test_init_golden;
+        case "too few samples per state for the folds"
+          test_init_too_few_samples ] );
     ( "core.cbmf",
       [ slow_case "beats S-OMP at small N" test_cbmf_beats_somp_small_n;
         case "info populated" test_cbmf_info_populated;
         case "fit_seconds is wall time (2 domains)" test_cbmf_fit_seconds_wall;
         case "predict_state" test_cbmf_predict_state;
         case "independent config" test_cbmf_independent_config_runs;
-        slow_case "correlation helps" test_cbmf_correlation_helps ] ) ]
+        slow_case "correlation helps" test_cbmf_correlation_helps;
+        case "degenerate shapes fit" test_degenerate_shapes ] ) ]

@@ -157,15 +157,61 @@ let test_gemm_domain_bit_identity () =
       Pool.set_default_size size;
       List.iteri
         (fun i (p : Mat.t) ->
-          check_true
-            (Printf.sprintf "kernel %d bit-identical at %d domains" i size)
-            ((List.nth seq i).Mat.data = p.Mat.data))
+          check_bits
+            (Printf.sprintf "kernel %d at %d domains" i size)
+            (List.nth seq i).Mat.data p.Mat.data)
         (run ()))
     [ 2; 4; 8 ];
   Pool.set_default_size (Pool.env_domains ());
   mat_close ~tol:1e-8 "matmul vs naive" (Mat.matmul_naive a b) (List.nth seq 0);
   mat_close ~tol:1e-8 "matmul_nt vs naive" (Mat.matmul_nt_naive a nt_b)
     (List.nth seq 1)
+
+(* [syrk_nt] against the full-length reference, bit for bit at 1, 2
+   and 4 domains: dense rows (odd and even counts), the triangular rows
+   of a factor inverse, and rows with mixed zero prefixes — all-zero
+   rows and −0.0 entries inside and past the prefixes included. *)
+let test_syrk_nt_prefix_bits () =
+  let module Pool = Cbmf_parallel.Pool in
+  let rng = Cbmf_prob.Rng.create 71 in
+  let linv =
+    Chol.lower_inverse_t (Chol.factorize (Seeded.random_spd rng 257))
+  in
+  let p = 190 in
+  let prefix i =
+    match i with
+    | 0 -> 0
+    | 1 -> p
+    | 2 -> p - 1
+    | _ -> Cbmf_prob.Rng.int rng (p + 1)
+  in
+  let mixed =
+    let rows = Array.init 210 prefix in
+    Mat.init 210 p (fun i j ->
+        if (i * j) mod 17 = 5 || (j < rows.(i) && (i + j) mod 3 = 0) then -0.0
+        else if j < rows.(i) then 0.0
+        else Cbmf_prob.Rng.gaussian rng)
+  in
+  let inputs =
+    [ ("1x1", Seeded.random_mat rng 1 1); ("2x5", Seeded.random_mat rng 2 5);
+      ("7x3", Seeded.random_mat rng 7 3);
+      ("64x10", Seeded.random_mat rng 64 10);
+      ("301x277", Seeded.random_mat rng 301 277); ("(l⁻¹)ᵀ 257", linv);
+      ("mixed prefixes 210x190", mixed) ]
+  in
+  Fun.protect
+    ~finally:(fun () -> Pool.set_default_size (Pool.env_domains ()))
+    (fun () ->
+      List.iter
+        (fun d ->
+          Pool.set_default_size d;
+          List.iter
+            (fun (name, a) ->
+              check_bits
+                (Printf.sprintf "syrk_nt %s, %d domain(s)" name d)
+                (Mat.syrk_nt_naive a).Mat.data (Mat.syrk_nt a).Mat.data)
+            inputs)
+        [ 1; 2; 4 ])
 
 let test_syrk () =
   let a = random_mat 7 4 in
@@ -283,6 +329,8 @@ let suite =
         case "GEMM bit-identical across domain counts"
           test_gemm_domain_bit_identity;
         case "syrk" test_syrk;
+        case "syrk_nt = naive (bits), zero prefixes, 1/2/4 domains"
+          test_syrk_nt_prefix_bits;
         case "matmul_nt_weighted" test_matmul_nt_weighted;
         case "mat_vec/mat_tvec" test_mat_vec;
         case "gram" test_gram;
