@@ -143,7 +143,7 @@ let run_sharded ~config ~shards ~models socket =
   print_endline "Cluster stopped."
 
 let run_serve socket port workers timeout max_mb queue_cap deadline
-    drain_timeout retry_after_ms batch_window_us batch_max shards models =
+    drain_timeout retry_after_ms shards models =
   let config =
     {
       Server.default_config with
@@ -153,8 +153,6 @@ let run_serve socket port workers timeout max_mb queue_cap deadline
       deadline;
       drain_timeout;
       retry_after_ms;
-      batch_window_us;
-      batch_max;
     }
   in
   if shards > 1 then run_sharded ~config ~shards ~models socket
@@ -233,23 +231,6 @@ let serve_cmd =
       & info [ "retry-after-ms" ]
           ~doc:"Retry hint carried in shed (overloaded) replies.")
   in
-  let batch_window_us =
-    Arg.(
-      value
-      & opt int Server.default_config.Server.batch_window_us
-      & info [ "batch-window-us" ]
-          ~doc:
-            "Dynamic-batching window in microseconds: predicts from all \
-             connections are coalesced into merged engine calls (replies \
-             stay bit-identical).  0 calls the engine inline per request.")
-  in
-  let batch_max =
-    Arg.(
-      value
-      & opt int Server.default_config.Server.batch_max
-      & info [ "batch-max" ]
-          ~doc:"Points per merged engine call before an early flush.")
-  in
   let shards =
     Arg.(
       value & opt int 1
@@ -270,8 +251,8 @@ let serve_cmd =
     (Cmd.info "serve" ~doc:"Run the inference server.")
     Term.(
       const run_serve $ socket_t $ port_t $ workers $ timeout $ max_mb
-      $ queue_cap $ deadline $ drain_timeout $ retry_after_ms
-      $ batch_window_us $ batch_max $ shards $ models)
+      $ queue_cap $ deadline $ drain_timeout $ retry_after_ms $ shards
+      $ models)
 
 (* --- Client one-shots ------------------------------------------------- *)
 

@@ -24,8 +24,6 @@ type device_spec = { dev_name : string; dev_w : float; dev_l : float }
 type t = {
   devices : device_spec array;
   sigma_vth_global : float;
-  avt : float; (* V·m: Pelgrom Vth coefficient *)
-  abeta : float; (* relative·m: Pelgrom beta coefficient *)
   n_res : int;
   (* Per-device precomputed mismatch sigmas. *)
   sigma_vth_local : float array;
@@ -60,8 +58,6 @@ let create ?(sigma_vth_global = 0.015) ?(avt = 2.5e-3 *. 1e-6)
   {
     devices;
     sigma_vth_global;
-    avt;
-    abeta;
     n_res = n_resistor_vars;
     sigma_vth_local;
     sigma_beta_local;

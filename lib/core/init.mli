@@ -13,7 +13,6 @@
 
     Expects a standardized dataset (see {!Standardize}). *)
 
-open Cbmf_linalg
 open Cbmf_model
 
 type config = {

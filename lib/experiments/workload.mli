@@ -5,7 +5,6 @@
     whole sample-size sweep (smaller budgets are prefixes), exactly as
     one would reuse stored transistor-level simulations. *)
 
-open Cbmf_prob
 open Cbmf_circuit
 open Cbmf_model
 

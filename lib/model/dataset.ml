@@ -6,10 +6,10 @@ type t = {
   n_basis : int;
   design : Mat.t array;
   response : Vec.t array;
-  mutable norms_cache : Vec.t option array;
-  mutable bty_cache : Vec.t option array;
-  mutable ssq_cache : Vec.t option array;
-  mutable gram_cache : Mat.t option array;
+  norms_cache : Vec.t option array;
+  bty_cache : Vec.t option array;
+  ssq_cache : Vec.t option array;
+  gram_cache : Mat.t option array;
 }
 
 let create ~design ~response =

@@ -14,14 +14,14 @@ type t = private {
   n_basis : int;  (** M *)
   design : Mat.t array;  (** B_k, N×M *)
   response : Vec.t array;  (** y_k, length N *)
-  mutable norms_cache : Vec.t option array;
+  norms_cache : Vec.t option array;
       (** lazily filled per-state column norms — use {!column_norms} *)
-  mutable bty_cache : Vec.t option array;
+  bty_cache : Vec.t option array;
       (** lazily filled per-state [B_kᵀ y_k] — use {!bty} *)
-  mutable ssq_cache : Vec.t option array;
+  ssq_cache : Vec.t option array;
       (** lazily filled per-state raw column sums of squares — use
           {!ssq}; the exact quantity {!append_rows} carries forward *)
-  mutable gram_cache : Mat.t option array;
+  gram_cache : Mat.t option array;
       (** lazily filled per-state M×M [B_kᵀ B_k] — use {!gram} *)
 }
 

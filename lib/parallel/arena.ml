@@ -1,4 +1,4 @@
-(* Per-worker float scratch arenas.
+(* Per-domain float scratch arenas.
 
    A pool task that needs temporary buffers (a state-pair product
    block, a staged weighted row, a batch-chunk design matrix) would
@@ -12,7 +12,9 @@
    - A buffer is keyed by (slot, id).  Only the domain currently
      occupying a slot touches that slot's buffers, and the pool never
      runs two domains on one slot at a time, so there is no sharing
-     and no locking.
+     and no locking.  Systhreads are not domains: all systhreads of
+     the submitting domain share slot 0, so code reachable from two
+     of them at once must allocate its own scratch instead.
    - Buffers carry stale garbage from previous tasks.  Callers must
      fully overwrite the region they use ([_into] kernels zero or
      overwrite their whole output) — an arena never zeroes on grab.

@@ -1,9 +1,15 @@
-(** Per-worker float scratch arenas.
+(** Per-domain float scratch arenas.
 
     An arena caches named buffers per pool slot ({!Pool.slot}), so pool
     tasks reuse scratch across tasks and jobs instead of allocating per
     task.  No locking: the pool never runs two domains on one slot at a
     time, and each (slot, id) buffer belongs to exactly one slot.
+
+    A slot belongs to a {e domain}, not to a systhread: every systhread
+    of the submitting domain sees slot 0.  Code that two systhreads of
+    one domain can run at once (a server's workers calling the serving
+    engine) must not take scratch from an arena — a sibling preempted
+    mid-task would overwrite its buffers.
 
     Buffers are returned with unspecified contents ({!grab}) — callers
     must fully overwrite the region they use — or zeroed

@@ -44,13 +44,16 @@ type t = {
 
 (* True while the current domain is executing a pool task: nested
    parallel calls fall back to the sequential path instead of
-   deadlocking on the shared gate. *)
+   deadlocking on the shared gate.  Domain-local, so every systhread
+   of the domain sees it — a sibling of a submitter in flight runs its
+   own parallel calls sequentially too. *)
 let in_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 (* Stable per-domain slot for arena indexing: 0 on the submitting
    domain, 1..size-1 on workers.  Nested (sequential-fallback) calls
    run on the same domain and therefore see the same slot, so a slot's
-   scratch is never touched by two domains at once. *)
+   scratch is never touched by two domains at once — but it is shared
+   by every systhread of the domain. *)
 let slot_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
 let slot () = Domain.DLS.get slot_key
@@ -59,8 +62,6 @@ let slot () = Domain.DLS.get slot_key
    would otherwise do setup work for a parallel path (operand packing,
    arena grabs) can skip straight to their sequential kernel. *)
 let in_parallel () = Domain.DLS.get in_task
-
-let max_domains = Tune.max_domains
 
 let clamp_size = Tune.clamp_domains
 

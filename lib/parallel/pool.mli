@@ -60,13 +60,18 @@ val slot : unit -> int
     submitting domain, [1 .. size-1] on workers (always
     [< Tune.max_domains]).  Nested sequential-fallback calls run on the
     same domain and see the same slot, so per-slot scratch is never
-    shared between two concurrently running domains. *)
+    shared between two concurrently running domains.  The slot is per
+    domain, not per systhread: every systhread of a domain sees the
+    same slot, so two systhreads can share per-slot scratch. *)
 
 val in_parallel : unit -> bool
 (** True on a domain currently executing a pool task.  Parallel entry
     points already fall back to sequential when nested; this lets
     callers skip the setup work of a parallel path (operand packing,
-    arena grabs) before even submitting. *)
+    arena grabs) before even submitting.  The underlying [in_task] flag
+    is per domain, not per systhread: while one systhread's job is in
+    flight, a sibling systhread of the same domain also reads [true],
+    and its own parallel calls run sequentially on its thread. *)
 
 val parallel_for : ?chunk:int -> t -> n:int -> (int -> unit) -> unit
 (** [parallel_for pool ~n f] runs [f 0 … f (n-1)] across the pool in

@@ -80,10 +80,9 @@ val predict_many :
   (float array * float array, failure) result list
 (** Pipelined predicts on this one connection: every request frame is
     sent before any reply is read, collapsing N round-trip latencies
-    into one.  (The server handles each connection sequentially, so
-    pipelining does not by itself fill the dynamic batcher's window —
-    that takes concurrent connections — but it keeps this connection's
-    requests arriving back-to-back.)  Replies arrive in request order;
+    into one.  (The server handles each connection sequentially, one
+    engine call per request, so pipelining saves round trips, not
+    compute.)  Replies arrive in request order;
     the result list aligns 1:1 with the input.  A typed server error
     fails only its own slot; a transport failure or a shed breaks the
     client, failing its slot and every later one the same way. *)

@@ -64,11 +64,6 @@ val w_string : writer -> string -> unit
 
 val w_f64_array : writer -> float array -> unit
 
-val w_floats : writer -> float array -> int -> int -> unit
-(** [w_floats w xs pos n] writes [xs.(pos .. pos+n-1)] as raw f64s (no
-    length field) in one bulk store — the zero-copy building block for
-    float payloads. *)
-
 val w_u32_array : writer -> int array -> unit
 
 val w_mat : writer -> Cbmf_linalg.Mat.t -> unit
@@ -95,10 +90,6 @@ val r_string : ?max_len:int -> reader -> string
 (** [max_len] (default 16 MiB) guards against hostile length fields. *)
 
 val r_f64_array : reader -> float array
-
-val r_floats : reader -> float array -> int -> int -> unit
-(** [r_floats r dst pos n] bulk-loads [n] raw f64s into
-    [dst.(pos ..)] — bounds-checked once, no per-element boxing. *)
 
 val r_u32_array : reader -> int array
 

@@ -24,28 +24,12 @@ let deadline_fault step =
    domain-count-invariant.) *)
 let chunk_size = Tune.batch_chunk ()
 
-(* Per-slot scratch for chunk processing: the standardized design
-   slab, its covariance product, the hoisted μ column and the staged
-   input row.  Used only under the pool (slots are then exclusive);
-   the direct single-chunk path allocates locally instead, because
-   concurrent systhread callers — the serving tier — share the calling
-   domain's slot. *)
-let chunk_arena = Arena.create ()
-
-let id_us = Arena.fresh_id ()
-
-let id_w = Arena.fresh_id ()
-
-let id_mu_s = Arena.fresh_id ()
-
-let id_x = Arena.fresh_id ()
-
 let predict_batch ?pool ?deadline (m : Model.t) ~states ~(xs : Mat.t) =
   let n = xs.Mat.rows in
   let check_deadline step =
     match deadline with
     | None -> ()
-    | Some d -> if Unix.gettimeofday () > d then raise (deadline_fault step)
+    | Some d -> if Unix.gettimeofday () >= d then raise (deadline_fault step)
   in
   check_deadline 0;
   if Array.length states <> n then
@@ -69,7 +53,11 @@ let predict_batch ?pool ?deadline (m : Model.t) ~states ~(xs : Mat.t) =
   let means = Array.make n 0.0 in
   let sds = Array.make n 0.0 in
   let noise = m.Model.sigma0 *. m.Model.sigma0 in
-  let process_chunk ~grab c =
+  (* Chunk scratch is allocated here, never taken from a per-slot
+     [Arena]: a slot belongs to a domain, and the serving tier's worker
+     systhreads all share the server domain's slot 0 (a pool of one, or
+     a sibling's pool job in flight, runs the chunks on the caller). *)
+  let process_chunk c =
     check_deadline c;
     let lo = c * chunk_size in
     let hi = min n (lo + chunk_size) in
@@ -82,7 +70,7 @@ let predict_batch ?pool ?deadline (m : Model.t) ~states ~(xs : Mat.t) =
       buckets.(s) <- i :: buckets.(s)
     done;
     let mu = m.Model.mu in
-    let x = grab id_x d in
+    let x = Array.make d 0.0 in
     for s = 0 to k - 1 do
       match buckets.(s) with
       | [] -> ()
@@ -91,9 +79,9 @@ let predict_batch ?pool ?deadline (m : Model.t) ~states ~(xs : Mat.t) =
           let g = Array.length idxs in
           (* Standardized active rows for the group — the same
              expression Model.features evaluates, so the bits agree.
-             The input row is staged into scratch instead of copied
-             fresh per point. *)
-          let us = Mat.unsafe_of_flat ~rows:g ~cols:a (grab id_us (g * a)) in
+             The input row is staged into [x] instead of copied fresh
+             per point. *)
+          let us = Mat.create g a in
           let ud = us.Mat.data in
           for gi = 0 to g - 1 do
             Array.blit xs.Mat.data ((lo + idxs.(gi)) * d) x 0 d;
@@ -107,10 +95,9 @@ let predict_batch ?pool ?deadline (m : Model.t) ~states ~(xs : Mat.t) =
           (* cov.(s) is symmetric, so W = Us·covᵀ has row i equal to
              cov·u_i, each entry a sequential dot — bit-identical to
              Model.predict's mat_vec. *)
-          let w = Mat.unsafe_of_flat ~rows:g ~cols:a (grab id_w (g * a)) in
-          Mat.matmul_nt_into us m.Model.cov.(s) ~dst:w;
+          let w = Mat.matmul_nt us m.Model.cov.(s) in
           (* Hoist the strided μ column; same values as Mat.get mu j s. *)
-          let mu_s = grab id_mu_s a in
+          let mu_s = Array.make a 0.0 in
           for j = 0 to a - 1 do
             mu_s.(j) <- mu.Mat.data.((j * k) + s)
           done;
@@ -133,14 +120,10 @@ let predict_batch ?pool ?deadline (m : Model.t) ~states ~(xs : Mat.t) =
     done
   in
   let nchunks = (n + chunk_size - 1) / chunk_size in
-  (if nchunks <= 1 then begin
-     if nchunks = 1 then
-       process_chunk ~grab:(fun _ len -> Array.make len 0.0) 0
-   end
-   else
+  (if nchunks = 1 then process_chunk 0
+   else if nchunks > 1 then
      let pool = match pool with Some p -> p | None -> Pool.default () in
-     Pool.parallel_for ~chunk:1 pool ~n:nchunks
-       (process_chunk ~grab:(Arena.grab chunk_arena)));
+     Pool.parallel_for ~chunk:1 pool ~n:nchunks process_chunk);
   (means, sds)
 
 let predict m ~state (x : Vec.t) =

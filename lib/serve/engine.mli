@@ -7,6 +7,11 @@
     instead of a matrix-vector product per point.  Batch chunks fan
     out over a {!Cbmf_parallel.Pool}.
 
+    {b Concurrent callers.}  Any number of systhreads may call
+    {!predict_batch} at once (a server's workers do): its scratch is
+    allocated per call, never shared through a per-domain
+    {!Cbmf_parallel.Arena} slot.
+
     {b Determinism.}  Results are bit-identical for any domain count:
     chunk boundaries are a fixed constant (independent of the pool
     size), every output location is written by exactly one index, and
@@ -43,8 +48,9 @@ val predict_batch :
     shape mismatches or out-of-range states.
 
     [deadline] is an absolute wall-clock instant ([Unix.gettimeofday]
-    scale).  When given, the budget is checked before every chunk; an
-    expired budget abandons the batch by raising the typed fault
+    scale).  When given, the budget is checked before every chunk; a
+    budget expires at that instant (so a zero budget always does),
+    and an expired budget abandons the batch by raising the typed fault
     [Fault.Early_stop { site = deadline_site; _ }] instead of
     finishing and replying late.  [None] (the default) adds no checks
     and no cost — the fault-free path is bit-identical to before. *)

@@ -2,7 +2,7 @@
 
     Every frame on the wire is a u32 little-endian byte length followed
     by that many body bytes; bodies are {!Codec} encodings of one
-    {!request} or one {!reply}.  Frames above {!max_frame_len} are
+    {!request} or one {!reply}.  Frames above 64 MiB are
     rejected before allocation — a hostile length prefix cannot make
     the server allocate gigabytes.
 
@@ -20,9 +20,6 @@
     back-compat test in [test_serve.ml] pins this. *)
 
 open Cbmf_linalg
-
-val max_frame_len : int
-(** 64 MiB. *)
 
 (** {1 Messages} *)
 
@@ -97,13 +94,13 @@ exception Closed
 
 val frame : string -> bytes
 (** The on-wire bytes of one frame (length prefix + body).  Raises
-    [Invalid_argument] on bodies above {!max_frame_len}.  Exposed so
+    [Invalid_argument] on bodies above 64 MiB.  Exposed so
     the chaos harness can write {e partial} frames (torn-frame
     injection); normal senders use {!write_frame}. *)
 
 val write_frame : Unix.file_descr -> string -> unit
 (** Length prefix + body, handling short writes.  Raises
-    [Invalid_argument] on bodies above {!max_frame_len}. *)
+    [Invalid_argument] on bodies above 64 MiB. *)
 
 val write_request : Unix.file_descr -> request -> unit
 (** Encode and send one framed request with zero copies: the message

@@ -13,8 +13,6 @@ type config = {
   deadline : float;
   drain_timeout : float;
   retry_after_ms : int;
-  batch_window_us : int;  (* dynamic-batching window; 0 = engine inline *)
-  batch_max : int;  (* points per merged engine call *)
 }
 
 let default_config =
@@ -26,16 +24,6 @@ let default_config =
     deadline = 0.0;
     drain_timeout = 1.0;
     retry_after_ms = 50;
-    (* Long enough to gather requests that arrive "together" through
-       the worker pool (hundreds of µs of systhread scheduling
-       jitter), short enough to be invisible next to a model
-       evaluation; under sustained load it only pays at the
-       idle→busy edge. *)
-    batch_window_us = 200;
-    (* A few engine chunks: a full merge still fans out across the
-       pool, yet one giant request cannot stall every coalesced
-       neighbour behind it. *)
-    batch_max = 4 * Engine.chunk_size;
   }
 
 (* Chaos-harness fault sites (armed via CBMF_FAULT_SITES, see
@@ -55,7 +43,6 @@ type t = {
   config : config;
   registry : Registry.t;
   stats : Stats.t;
-  batcher : Batcher.t;
   listen_fd : Unix.file_descr;
   bound : Unix.sockaddr;
   unix_path : string option;  (* socket file to unlink on stop *)
@@ -171,7 +158,6 @@ type ctx = {
   c_registry : Registry.t;
   c_stats : Stats.t;
   c_deadline : float;  (* per-request wall-clock budget, s; 0 = none *)
-  c_batcher : Batcher.t;
   on_shutdown : unit -> unit;
 }
 
@@ -209,10 +195,12 @@ let do_predict ctx ?deadline ~name ~states ~xs () =
         true )
   | Some model -> (
       try
-        (* The batcher raises exactly what the engine would. *)
-        let means, sds =
-          Batcher.submit ctx.c_batcher ?deadline ~model ~states ~xs ()
-        in
+        (* Inline, on this worker's thread: one engine call per wire
+           request. *)
+        let t0 = Unix.gettimeofday () in
+        let means, sds = Engine.predict_batch ?deadline model ~states ~xs in
+        Stats.record_engine_call ctx.c_stats ~points:(Array.length states)
+          ~seconds:(Unix.gettimeofday () -. t0);
         (Protocol.Predicted { means; sds }, true)
       with
       | Invalid_argument msg ->
@@ -381,20 +369,13 @@ let close_conn fd =
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let serve_fd ?stats ?batcher ?(deadline = 0.0) ~registry fd =
+let serve_fd ?stats ?(deadline = 0.0) ~registry fd =
   let stats = match stats with Some s -> s | None -> Stats.create () in
-  let batcher =
-    match batcher with
-    | Some b -> b
-    | None ->
-        Batcher.create ~window_us:0 ~max_points:default_config.batch_max ()
-  in
   serve_loop
     {
       c_registry = registry;
       c_stats = stats;
       c_deadline = deadline;
-      c_batcher = batcher;
       on_shutdown = (fun () -> ());
     }
     fd;
@@ -406,7 +387,6 @@ let worker_loop t =
       c_registry = t.registry;
       c_stats = t.stats;
       c_deadline = t.config.deadline;
-      c_batcher = t.batcher;
       on_shutdown = (fun () -> request_stop t);
     }
   in
@@ -498,11 +478,6 @@ let start ?(config = default_config) ?registry ?stats sockaddr =
     match registry with Some r -> r | None -> Registry.create ()
   in
   let stats = match stats with Some s -> s | None -> Stats.create () in
-  (* First, so a bad batching policy raises before any socket exists. *)
-  let batcher =
-    Batcher.create ~stats ~window_us:config.batch_window_us
-      ~max_points:config.batch_max ()
-  in
   let domain =
     match sockaddr with
     | Unix.ADDR_UNIX _ -> Unix.PF_UNIX
@@ -525,7 +500,6 @@ let start ?(config = default_config) ?registry ?stats sockaddr =
      Unix.listen listen_fd config.backlog
    with e ->
      Unix.close listen_fd;
-     Batcher.stop batcher;
      raise e);
   let bound = Unix.getsockname listen_fd in
   let pipe_rd, pipe_wr = Unix.pipe ~cloexec:true () in
@@ -534,7 +508,6 @@ let start ?(config = default_config) ?registry ?stats sockaddr =
       config;
       registry;
       stats;
-      batcher;
       listen_fd;
       bound;
       unix_path;
@@ -566,11 +539,6 @@ let wait t =
   in
   List.iter Thread.join to_join;
   if to_join <> [] then begin
-    (* Workers are gone, so no submit can arrive; the batcher's final
-       drain settles anything they left in flight, then its drainer
-       joins.  Order matters: stopping the batcher before the workers
-       would make late submits bypass coalescing. *)
-    Batcher.stop t.batcher;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     (try Unix.close t.pipe_rd with Unix.Unix_error _ -> ());
     (try Unix.close t.pipe_wr with Unix.Unix_error _ -> ());

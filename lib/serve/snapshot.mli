@@ -26,9 +26,6 @@
     ["snapshot.load"] (or ["serve.decode"] when raised through the
     wire-transfer entry points). *)
 
-val format_version : int
-(** The payload version this build writes (and the newest it reads). *)
-
 val encode : Model.t -> string
 (** The full snapshot image (header + payload) as bytes. *)
 

@@ -26,17 +26,14 @@ type t = {
   mutable queue_depth : int;  (* gauge: pending connections right now *)
   mutable queue_peak : int;  (* high-water mark of the gauge *)
   (* Latency split: time on the admission queue (accept → worker
-     pickup, per connection), time parked in the dynamic batcher
-     (enqueue → drain, per predict request), and engine compute time
-     (per predict request, its share being the whole merged call). *)
+     pickup, per connection) and engine compute time (per predict). *)
   queue_wait : hist;
-  batch_wait : hist;
   compute : hist;
-  (* Batch occupancy: points per merged engine call (the buckets are
-     point counts, not µs), plus how many wire requests coalesced. *)
+  (* Points per engine call (the buckets are point counts, not µs)
+     and the number of calls; each call serves one wire request, so
+     the JSON's [coalesced_requests] repeats [flushes]. *)
   occupancy : hist;
-  mutable flushes : int;  (* merged engine calls *)
-  mutable coalesced : int;  (* wire requests those calls served *)
+  mutable flushes : int;  (* engine calls *)
   mutable max_occupancy : int;
 }
 
@@ -53,11 +50,9 @@ let create () =
     queue_depth = 0;
     queue_peak = 0;
     queue_wait = hist_make ();
-    batch_wait = hist_make ();
     compute = hist_make ();
     occupancy = hist_make ();
     flushes = 0;
-    coalesced = 0;
     max_occupancy = 0;
   }
 
@@ -89,16 +84,11 @@ let record ?batch t ~op ~ok ~seconds =
 let record_queue_wait t ~seconds =
   locked t (fun () -> hist_add t.queue_wait (Float.max 0.0 (seconds *. 1e6)))
 
-let record_batch_phase t ~batch_wait ~compute =
+let record_engine_call t ~points ~seconds =
   locked t (fun () ->
-      hist_add t.batch_wait (Float.max 0.0 (batch_wait *. 1e6));
-      hist_add t.compute (Float.max 0.0 (compute *. 1e6)))
-
-let record_flush t ~requests ~points =
-  locked t (fun () ->
+      hist_add t.compute (Float.max 0.0 (seconds *. 1e6));
       hist_add t.occupancy (float_of_int (max 1 points));
       t.flushes <- t.flushes + 1;
-      t.coalesced <- t.coalesced + requests;
       if points > t.max_occupancy then t.max_occupancy <- points)
 
 let record_shed t =
@@ -128,18 +118,6 @@ let hist_quantile h q =
     done;
     bucket_edges_us.(!i)
   end
-
-let quantile_us t q = locked t (fun () -> hist_quantile t.latency q)
-
-let phase_quantile t which q =
-  locked t (fun () ->
-      hist_quantile
-        (match which with
-        | `Queue_wait -> t.queue_wait
-        | `Batch_wait -> t.batch_wait
-        | `Compute -> t.compute
-        | `Occupancy -> t.occupancy)
-        q)
 
 let json_float f =
   if Float.is_integer f && Float.abs f < 1e15 then
@@ -191,20 +169,22 @@ let to_json ?(extra = []) t =
           ("queue_peak", string_of_int t.queue_peak);
           ("latency_us", hist_json t.latency);
           (* Latency split: where a request's time went — admission
-             queue, batcher park, engine compute. *)
+             queue and engine compute.  [batch_wait_us] stays in the
+             schema for its readers, always empty: predicts call the
+             engine inline, so nothing waits for a batch. *)
           ( "phases",
             Printf.sprintf
               "{\"queue_wait_us\":%s,\"batch_wait_us\":%s,\"compute_us\":%s}"
-              (hist_json t.queue_wait) (hist_json t.batch_wait)
+              (hist_json t.queue_wait) (hist_json (hist_make ()))
               (hist_json t.compute) );
-          (* Points per merged engine call (bucket edges are point
-             counts here, not µs). *)
+          (* Points per engine call (bucket edges are point counts
+             here, not µs). *)
           ( "batch_occupancy",
             hist_json ~unit:"_points"
               ~lead:
                 (Printf.sprintf
                    "\"flushes\":%d,\"coalesced_requests\":%d,\"max_points\":%d,"
-                   t.flushes t.coalesced t.max_occupancy)
+                   t.flushes t.flushes t.max_occupancy)
               t.occupancy );
         ]
         @ extra

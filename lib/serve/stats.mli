@@ -31,34 +31,21 @@ val record_queue_wait : t -> seconds:float -> unit
 (** Time one connection spent on the admission queue (accept → worker
     pickup). *)
 
-val record_batch_phase : t -> batch_wait:float -> compute:float -> unit
-(** Per predict request: time parked in the dynamic batcher (enqueue →
-    drain) and engine compute time (its share being the whole merged
-    call), both in seconds. *)
-
-val record_flush : t -> requests:int -> points:int -> unit
-(** One merged engine call: how many wire requests it coalesced and how
-    many points it carried (the occupancy histogram buckets are point
-    counts, not µs). *)
+val record_engine_call : t -> points:int -> seconds:float -> unit
+(** One completed engine call, serving one predict request: its
+    compute time in seconds and its point count (the occupancy
+    histogram buckets are point counts, not µs). *)
 
 val sheds : t -> int
 
 val deadlines : t -> int
 
-val quantile_us : t -> float -> float
-(** Upper bucket edge (µs) at the given quantile in [0, 1]; 0 when
-    nothing was recorded. *)
-
-val phase_quantile :
-  t -> [ `Queue_wait | `Batch_wait | `Compute | `Occupancy ] -> float -> float
-(** Same read, but off one of the phase histograms ([`Occupancy] is in
-    points). *)
-
 val to_json : ?extra:(string * string) list -> t -> string
 (** One JSON object: per-op request counts, error count, total points,
     max batch size, p50/p99 and the non-empty histogram buckets, the
     per-phase latency split ("phases": queue-wait / batch-wait /
-    compute) and the batch-occupancy histogram ("batch_occupancy").
+    compute; batch-wait is always empty, since predicts run inline)
+    and the points-per-engine-call histogram ("batch_occupancy").
     [extra] appends pre-rendered members (e.g.
     [("registry", registry_json)]). *)
 

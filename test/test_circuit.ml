@@ -61,6 +61,18 @@ let test_pelgrom_scaling () =
   check_float ~tol:1e-9 "area scaling" (sqrt 10.0)
     (m2.Process.m_dvth /. m1.Process.m_dvth)
 
+let test_pelgrom_coefficients () =
+  (* [avt] and [abeta] set each device's local Vth and beta sigmas by
+     the Pelgrom law, A / sqrt(W·L). *)
+  let p = Process.create ~avt:5e-9 ~abeta:2e-8 specs in
+  let x = Array.make (Process.dim p) 0.0 in
+  x.(8) <- 1.0;
+  x.(9) <- 1.0;
+  let m1 = Process.mismatch_of p x 0 in
+  let area = 10e-6 *. 100e-9 in
+  check_float ~tol:1e-9 "vth sigma" (5e-9 /. sqrt area) m1.Process.m_dvth;
+  check_float ~tol:1e-9 "beta sigma" (2e-8 /. sqrt area) m1.Process.m_dbeta_rel
+
 let test_resistor_vars () =
   let p = Process.create ~n_resistor_vars:2 specs in
   let x = Array.make (Process.dim p) 0.0 in
@@ -196,6 +208,7 @@ let suite =
       [ case "dimensions" test_process_dim;
         case "decode" test_process_decode;
         case "pelgrom scaling" test_pelgrom_scaling;
+        case "pelgrom coefficients" test_pelgrom_coefficients;
         case "resistor vars" test_resistor_vars;
         case "variable names" test_variable_names;
         case "sample dim" test_sample_dim ] );

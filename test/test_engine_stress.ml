@@ -11,8 +11,7 @@ module Engine = Cbmf_serve.Engine
 module Pool = Cbmf_parallel.Pool
 
 let big_spec k =
-  { Synthetic.default_spec with
-    Synthetic.k;
+  { Synthetic.k;
     m = 51;
     d = 25;
     active_per_state = 6;

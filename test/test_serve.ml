@@ -21,6 +21,13 @@ let bits_eq_f x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 let bits_eq xs ys =
   Array.length xs = Array.length ys && Array.for_all2 bits_eq_f xs ys
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec scan i =
+    i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1))
+  in
+  scan 0
+
 let spd n =
   let a = Mat.init n n (fun _ _ -> g ()) in
   let m = Mat.gram a in
@@ -235,13 +242,6 @@ let test_snapshot_versioning () =
   (* The version field is not covered by the payload checksum, so a
      future-version file is structurally pristine — it must still be
      refused, with the version named in the reason. *)
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec scan i =
-      i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1))
-    in
-    scan 0
-  in
   (match Snapshot.decode (patch_byte 8 '\x02') with
   | _ -> Alcotest.fail "future version accepted"
   | exception Fault.Error (Fault.Bad_snapshot { reason; _ }) ->
@@ -394,10 +394,10 @@ let test_registry_put_only_eviction () =
 
 (* --- Engine ---------------------------------------------------------- *)
 
-let check_batch_matches_scalar m n =
+let check_batch_matches_scalar ?(state_of = fun ~k i -> i * 7 mod k) m n =
   let dim = m.Model.input_dim and k = m.Model.n_states in
   let xs = Mat.init n dim (fun _ _ -> g ()) in
-  let states = Array.init n (fun i -> i * 7 mod k) in
+  let states = Array.init n (state_of ~k) in
   let means, sds = Engine.predict_batch m ~states ~xs in
   for i = 0 to n - 1 do
     let mean, sd = Model.predict m ~state:states.(i) (Mat.row xs i) in
@@ -447,6 +447,118 @@ let test_engine_invalid_args () =
       Engine.predict_batch m ~states:[| 0 |] ~xs:(Mat.create 1 (dim + 1)));
   check_raises_invalid "state out of range" (fun () ->
       Engine.predict_batch m ~states:[| m.Model.n_states |] ~xs:(Mat.create 1 dim))
+
+(* --- Engine under concurrent callers ---------------------------------- *)
+
+(* A K = 32 model (the LNA's state count) and, per caller, a batch of
+   [n] points with its solo engine answer.  Each caller gets its own
+   inputs, so scratch shared between callers could not hide behind
+   equal data. *)
+let concurrent_model () = synth_model ~dim:50 ~k:32 ~a:24 ()
+
+let solo_requests m ~callers ~n =
+  Array.init callers (fun _ ->
+      let xs = Mat.init n m.Model.input_dim (fun _ _ -> g ()) in
+      let states = Array.init n (fun j -> (j * 7) mod m.Model.n_states) in
+      (states, xs, Engine.predict_batch m ~states ~xs))
+
+(* With a pool of one, every chunk of a multi-chunk batch runs on the
+   calling systhread — the shape that exposes scratch shared between
+   systhreads of one domain (at more domains a sibling's pool job in
+   flight does the same, less often). *)
+let with_one_domain f =
+  Cbmf_parallel.Pool.set_default_size 1;
+  Fun.protect
+    ~finally:(fun () ->
+      Cbmf_parallel.Pool.set_default_size (Cbmf_parallel.Pool.env_domains ()))
+    f
+
+(* Four systhreads call the engine at once, as a server's workers do,
+   each with its own 2048-point (32-chunk) batch, [calls] times.  Every
+   reply must equal the caller's solo answer bit for bit. *)
+let check_concurrent_callers ~calls () =
+  let m = concurrent_model () in
+  let callers = 4 in
+  let reqs = solo_requests m ~callers ~n:2048 in
+  let bad = Array.make callers 0 in
+  let caller i () =
+    let states, xs, (em, es) = reqs.(i) in
+    for _ = 1 to calls do
+      match Engine.predict_batch m ~states ~xs with
+      | rm, rs -> if not (bits_eq em rm && bits_eq es rs) then bad.(i) <- bad.(i) + 1
+      | exception _ -> bad.(i) <- bad.(i) + 1
+    done
+  in
+  Array.iter Thread.join (Array.init callers (fun i -> Thread.create (caller i) ()));
+  check_int
+    (Printf.sprintf "replies differing from the solo answer, of %d" (callers * calls))
+    0 (Array.fold_left ( + ) 0 bad)
+
+let test_engine_concurrent_callers () =
+  with_one_domain (check_concurrent_callers ~calls:150)
+
+let test_engine_concurrent_callers_pool () =
+  (* The same at the default pool size: chunks fan out over the pool,
+     or run on the caller while a sibling's pool job is in flight. *)
+  check_concurrent_callers ~calls:50 ()
+
+let test_engine_inside_pool_task () =
+  (* Called from inside pool tasks, a multi-chunk batch runs its
+     chunks on the task's own domain; eight such batches at once,
+     spread over every worker, still answer bit-identically. *)
+  let m = concurrent_model () in
+  let reqs = solo_requests m ~callers:8 ~n:300 in
+  let out =
+    Cbmf_parallel.Pool.map ~chunk:1 (Cbmf_parallel.Pool.default ()) ~n:8 (fun i ->
+        let states, xs, _ = reqs.(i) in
+        Engine.predict_batch m ~states ~xs)
+  in
+  Array.iteri
+    (fun i (_, _, (em, es)) ->
+      let rm, rs = out.(i) in
+      check_true "batch inside a pool task bit-identical" (bits_eq em rm && bits_eq es rs))
+    reqs
+
+let test_engine_chunk_edges () =
+  (* One short of, and one past, one and two chunks; then chunks whose
+     points all share one state (a single full-chunk group) and chunks
+     that put one point in each of 64 states. *)
+  let c = Engine.chunk_size in
+  let m = synth_model ~dim:6 ~k:4 ~a:10 () in
+  List.iter (check_batch_matches_scalar m) [ c - 1; c + 1; (2 * c) - 1; 2 * c; (2 * c) + 1 ];
+  check_batch_matches_scalar ~state_of:(fun ~k:_ _ -> 2) m ((3 * c) + 5);
+  check_batch_matches_scalar ~state_of:(fun ~k i -> i mod k)
+    (synth_model ~dim:6 ~k:64 ~a:10 ()) ((2 * c) + 7)
+
+let test_engine_explicit_pool () =
+  (* A caller-supplied pool, of one domain or of three, gives the
+     default pool's bits and leaves the inputs untouched. *)
+  let m = synth_model ~dim:6 ~k:4 ~a:12 () in
+  let n = (3 * Engine.chunk_size) + 11 in
+  let xs = Mat.init n m.Model.input_dim (fun _ _ -> g ()) in
+  let states = Array.init n (fun i -> i mod m.Model.n_states) in
+  let xs0 = Mat.copy xs and states0 = Array.copy states in
+  let em, es = Engine.predict_batch m ~states ~xs in
+  List.iter
+    (fun size ->
+      let pool = Cbmf_parallel.Pool.create size in
+      Fun.protect
+        ~finally:(fun () -> Cbmf_parallel.Pool.shutdown pool)
+        (fun () ->
+          let rm, rs = Engine.predict_batch ~pool m ~states ~xs in
+          check_true
+            (Printf.sprintf "%d-domain pool bit-identical" size)
+            (bits_eq em rm && bits_eq es rs)))
+    [ 1; 3 ];
+  check_true "inputs untouched" (bits_eq xs0.Mat.data xs.Mat.data && states0 = states)
+
+let test_engine_empty_batch () =
+  let m = synth_model () in
+  let means, sds =
+    Engine.predict_batch m ~states:[||] ~xs:(Mat.create 0 m.Model.input_dim)
+  in
+  check_int "no means" 0 (Array.length means);
+  check_int "no sds" 0 (Array.length sds)
 
 (* --- Protocol -------------------------------------------------------- *)
 
@@ -751,6 +863,19 @@ let test_engine_deadline () =
   | exception Fault.Error (Fault.Early_stop { site; _ }) ->
       check_true "fault carries the serve.deadline site"
         (String.equal site Engine.deadline_site)
+
+let test_engine_zero_budget () =
+  (* A budget expires at its own instant: a deadline of "now" is
+     already spent even when the clock has not ticked since. *)
+  let m = synth_model () in
+  let xs = Mat.init 3 m.Model.input_dim (fun _ _ -> g ()) in
+  let states = [| 0; 1; 2 |] in
+  for _ = 1 to 200 do
+    match Engine.predict_batch ~deadline:(Unix.gettimeofday ()) m ~states ~xs with
+    | _ -> Alcotest.fail "a zero budget completed"
+    | exception Fault.Error (Fault.Early_stop { site; _ }) ->
+        check_true "zero budget: serve.deadline fault" (String.equal site Engine.deadline_site)
+  done
 
 (* --- Client/server loopback over a socketpair ------------------------ *)
 
@@ -1283,261 +1408,128 @@ let test_bad_snapshot_fault () =
   check_true "deterministic order" (faults.(0) = f);
   check_int "counted by class" 1 (Diag.count_class d Fault.C_bad_snapshot)
 
-(* --- Dynamic batcher -------------------------------------------------- *)
+(* --- Concurrent serving ------------------------------------------------ *)
 
-(* A request set with uneven shapes, plus each request's solo engine
-   answer for bitwise comparison. *)
-let batch_requests m n_reqs =
-  Array.init n_reqs (fun i ->
-      let n = 3 + (i mod 5) in
-      let xs = Mat.init n m.Model.input_dim (fun _ _ -> g ()) in
-      let states = Array.init n (fun j -> (i + j) mod m.Model.n_states) in
-      let expect = Engine.predict_batch m ~states ~xs in
-      (states, xs, expect))
-
-(* Submit every request from its own thread; returns each thread's
-   outcome (result or exception). *)
-let submit_all b m reqs =
-  let out = Array.make (Array.length reqs) None in
-  let ths =
-    Array.mapi
-      (fun i (states, xs, _) ->
-        Thread.create
-          (fun () ->
-            out.(i) <-
-              Some
-                (match Batcher.submit b ~model:m ~states ~xs () with
-                | r -> Ok r
-                | exception e -> Error e))
-          ())
-      reqs
-  in
-  Array.iter Thread.join ths;
-  Array.map Option.get out
-
-let check_all_bit_identical tag reqs out =
-  Array.iteri
-    (fun i (_, _, (em, es)) ->
-      match out.(i) with
-      | Ok (rm, rs) ->
-          check_true tag (bits_eq em rm && bits_eq es rs)
-      | Error e -> Alcotest.failf "%s: request %d raised %s" tag i
-                     (Printexc.to_string e))
-    reqs
-
-let test_batcher_bit_identity () =
-  (* Concurrent submits from 8 threads against one model coalesce into
-     merged engine calls; every reply must equal its solo engine
-     answer bit for bit.  The window is generous so every thread's
-     request lands in the first flush, making the coalescing (not just
-     the fallback solo path) the thing under test. *)
-  let m = synth_model ~dim:5 ~k:3 ~a:8 () in
+let test_serve_fd_concurrent () =
+  (* Four serve_fd connections served side by side (the full server's
+     workers run the same loop), each sending multi-chunk predicts:
+     every wire reply is bit-identical to the solo engine answer, and
+     each request is one engine call. *)
+  let m = concurrent_model () in
+  let registry = Registry.create () in
+  Registry.put registry ~name:"m" m;
   let stats = Stats.create () in
-  let b = Batcher.create ~stats ~window_us:100_000 ~max_points:100_000 () in
-  let reqs = batch_requests m 8 in
-  let out = submit_all b m reqs in
-  Batcher.stop b;
-  check_all_bit_identical "coalesced replies bit-identical" reqs out;
-  (* Requests were 3-7 points each; an occupancy median above that
-     proves at least two requests actually merged. *)
-  check_true "requests coalesced across submitters"
-    (Stats.phase_quantile stats `Occupancy 0.5 > 7.0)
+  let conns = 4 and rounds = 40 in
+  with_one_domain (fun () ->
+      let reqs = solo_requests m ~callers:conns ~n:2048 in
+      let pairs =
+        Array.init conns (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
+      in
+      let servers =
+        Array.map
+          (fun (srv_fd, _) ->
+            Thread.create (fun () -> Server.serve_fd ~stats ~registry srv_fd) ())
+          pairs
+      in
+      let out = Array.make conns [] in
+      let clients =
+        Array.init conns (fun i ->
+            Thread.create
+              (fun () ->
+                let c = Client.of_fd (snd pairs.(i)) in
+                let states, xs, _ = reqs.(i) in
+                for _ = 1 to rounds do
+                  out.(i) <- Client.predict_typed c ~name:"m" ~states ~xs :: out.(i)
+                done;
+                Client.close c)
+              ())
+      in
+      Array.iter Thread.join clients;
+      Array.iter Thread.join servers;
+      Array.iteri
+        (fun i (_, _, (em, es)) ->
+          List.iter
+            (function
+              | Ok (rm, rs) ->
+                  check_true "concurrent reply bit-identical"
+                    (bits_eq em rm && bits_eq es rs)
+              | Error f ->
+                  Alcotest.failf "connection %d: %s" i (Client.failure_to_string f))
+            out.(i))
+        reqs;
+      let calls = conns * rounds in
+      check_true "one engine call per request"
+        (contains (Stats.to_json stats)
+           (Printf.sprintf "\"flushes\":%d,\"coalesced_requests\":%d," calls calls)))
 
-let test_batcher_two_models () =
-  (* Same window, two distinct models: merging must group by physical
-     model, and both groups answer bit-identically. *)
-  let m1 = synth_model ~dim:5 ~k:3 ~a:8 () in
-  let m2 = synth_model ~dim:4 ~k:2 ~a:6 () in
-  let b = Batcher.create ~window_us:50_000 ~max_points:100_000 () in
-  let r1 = batch_requests m1 3 and r2 = batch_requests m2 3 in
-  let out = Array.make 6 None in
-  let spawn off m reqs =
-    Array.mapi
-      (fun i (states, xs, _) ->
-        Thread.create
-          (fun () ->
-            out.(off + i) <-
-              Some
-                (match Batcher.submit b ~model:m ~states ~xs () with
-                | r -> Ok r
-                | exception e -> Error e))
-          ())
-      reqs
-  in
-  let ths = Array.append (spawn 0 m1 r1) (spawn 3 m2 r2) in
-  Array.iter Thread.join ths;
-  Batcher.stop b;
-  let out = Array.map Option.get out in
-  check_all_bit_identical "model-1 replies" r1 (Array.sub out 0 3);
-  check_all_bit_identical "model-2 replies" r2 (Array.sub out 3 3)
-
-let test_batcher_window_zero () =
-  (* window = 0 degenerates to per-request serving: the engine is
-     called inline (no drainer), answers are bit-identical, and no
-     merged flush is ever recorded. *)
-  let m = synth_model ~dim:5 ~k:3 ~a:8 () in
-  let stats = Stats.create () in
-  let b =
-    Batcher.create ~stats ~window_us:0
-      ~max_points:Server.default_config.batch_max ()
-  in
-  let reqs = batch_requests m 4 in
-  Array.iter
-    (fun (states, xs, (em, es)) ->
-      let rm, rs = Batcher.submit b ~model:m ~states ~xs () in
-      check_true "window=0 bit-identical" (bits_eq em rm && bits_eq es rs))
-    reqs;
-  Batcher.stop b;
-  check_true "window=0 records no merged flushes"
-    (Stats.phase_quantile stats `Occupancy 0.99 = 0.0)
-
-let test_batcher_early_flush () =
-  (* A full batch flushes immediately: with a 5 s window but an
-     8-point cap, two 4-point submits must come back far sooner than
-     the window. *)
-  let m = synth_model ~dim:5 ~k:3 ~a:8 () in
-  let b = Batcher.create ~window_us:5_000_000 ~max_points:8 () in
-  let xs () = Mat.init 4 m.Model.input_dim (fun _ _ -> g ()) in
-  let states = Array.init 4 (fun j -> j mod m.Model.n_states) in
-  let mk_req () =
-    let x = xs () in
-    (states, x, Engine.predict_batch m ~states ~xs:x)
-  in
-  let reqs = [| mk_req (); mk_req () |] in
-  let t0 = Unix.gettimeofday () in
-  let out = submit_all b m reqs in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Batcher.stop b;
-  check_all_bit_identical "early-flush replies bit-identical" reqs out;
-  check_true "full batch flushed well before the window"
-    (elapsed < 2.0)
-
-let test_batcher_deadline_anchor () =
-  (* Budgets are absolute and anchored at enqueue: a request whose
-     budget is shorter than the batching window must come back as a
-     typed deadline fault, never as a late success — parking cannot
-     silently extend a budget. *)
-  let m = synth_model ~dim:5 ~k:3 ~a:8 () in
-  let b = Batcher.create ~window_us:150_000 ~max_points:100_000 () in
-  let xs = Mat.init 5 m.Model.input_dim (fun _ _ -> g ()) in
-  let states = Array.init 5 (fun j -> j mod m.Model.n_states) in
-  let expect_deadline tag deadline =
-    match Batcher.submit b ~deadline ~model:m ~states ~xs () with
-    | _ -> Alcotest.failf "%s: expired request completed" tag
-    | exception Fault.Error (Fault.Early_stop { site; _ }) ->
-        check_true (tag ^ " carries the serve.deadline site")
-          (String.equal site Engine.deadline_site)
-  in
-  expect_deadline "budget shorter than window"
-    (Unix.gettimeofday () +. 0.02);
-  expect_deadline "already-expired budget" (Unix.gettimeofday () -. 1.0);
-  (* A budget comfortably past the window parks, merges and succeeds. *)
-  let em, es = Engine.predict_batch m ~states ~xs in
-  let rm, rs =
-    Batcher.submit b
-      ~deadline:(Unix.gettimeofday () +. 30.0)
-      ~model:m ~states ~xs ()
-  in
-  check_true "generous budget bit-identical through the batcher"
-    (bits_eq em rm && bits_eq es rs);
-  Batcher.stop b
-
-let test_batcher_validation_isolation () =
-  (* One malformed request in the window must fail alone with the
-     engine's own Invalid_argument while its window-mates succeed. *)
-  let m = synth_model ~dim:5 ~k:3 ~a:8 () in
-  let b = Batcher.create ~window_us:50_000 ~max_points:100_000 () in
-  let good = batch_requests m 2 in
-  let bad_xs = Mat.init 2 (m.Model.input_dim + 3) (fun _ _ -> g ()) in
-  let bad_states = [| 0; 1 |] in
-  let bad_out = ref None in
-  let bad_th =
-    Thread.create
-      (fun () ->
-        bad_out :=
-          Some
-            (match
-               Batcher.submit b ~model:m ~states:bad_states ~xs:bad_xs ()
-             with
-            | r -> Ok r
-            | exception e -> Error e))
-      ()
-  in
-  let out = submit_all b m good in
-  Thread.join bad_th;
-  Batcher.stop b;
-  check_all_bit_identical "window-mates unaffected" good out;
-  match Option.get !bad_out with
-  | Error (Invalid_argument _) -> ()
-  | Error e ->
-      Alcotest.failf "bad request: expected Invalid_argument, got %s"
-        (Printexc.to_string e)
-  | Ok _ -> Alcotest.fail "bad request succeeded"
-
-let test_batcher_invalid_policy () =
-  check_raises_invalid "negative window" (fun () ->
-      Batcher.create ~window_us:(-1) ~max_points:8 ());
-  check_raises_invalid "cap below 1" (fun () ->
-      Batcher.create ~window_us:0 ~max_points:0 ());
+let test_server_concurrent () =
+  (* The full server: four connections through [Server.start]'s worker
+     pool, each sending multi-chunk predicts, every reply bit-identical
+     and each one engine call. *)
   with_temp_dir (fun dir ->
-      let path = Filename.concat dir "bad-policy.sock" in
-      check_raises_invalid "server with a negative window" (fun () ->
-          Server.start
-            ~config:{ Server.default_config with batch_window_us = -1 }
-            (Unix.ADDR_UNIX path));
-      check_true "nothing bound for a bad policy" (not (Sys.file_exists path)))
+      let m = concurrent_model () in
+      let registry = Registry.create () in
+      Registry.put registry ~name:"m" m;
+      let srv = Server.start ~registry (Unix.ADDR_UNIX (Filename.concat dir "conc.sock")) in
+      Fun.protect
+        ~finally:(fun () -> Server.stop srv)
+        (fun () ->
+          let conns = 4 and rounds = 10 in
+          let reqs = solo_requests m ~callers:conns ~n:300 in
+          let bad = Array.make conns 0 in
+          let client i () =
+            let c = Client.connect ~timeout:10.0 (Server.addr srv) in
+            let states, xs, (em, es) = reqs.(i) in
+            for _ = 1 to rounds do
+              match Client.predict_typed c ~name:"m" ~states ~xs with
+              | Ok (rm, rs) when bits_eq em rm && bits_eq es rs -> ()
+              | _ -> bad.(i) <- bad.(i) + 1
+            done;
+            Client.close c
+          in
+          Array.iter Thread.join (Array.init conns (fun i -> Thread.create (client i) ()));
+          check_int "replies not bit-identical" 0 (Array.fold_left ( + ) 0 bad);
+          let calls = conns * rounds in
+          check_true "one engine call per request"
+            (contains (Stats.to_json (Server.stats srv))
+               (Printf.sprintf "\"flushes\":%d,\"coalesced_requests\":%d," calls calls))))
 
-let test_batcher_cross_connection () =
-  (* The server-level contract: several serve_fd connections sharing
-     one batcher coalesce across descriptors, and every wire reply is
-     bit-identical to the solo engine answer.  (The full Server.start
-     wires the same pieces; serve_fd keeps the test socketpair-local.) *)
+let test_stats_engine_calls () =
+  (* Stats count one engine call per served predict, with its points;
+     a rejected shape, a spent budget and an unknown model count none,
+     and no request ever waits for a batch. *)
   let m = synth_model ~dim:5 ~k:3 ~a:8 () in
   let registry = Registry.create () in
   Registry.put registry ~name:"m" m;
   let stats = Stats.create () in
-  let batcher =
-    Batcher.create ~stats ~window_us:100_000 ~max_points:100_000 ()
+  let srv_fd, cl_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let th = Thread.create (fun () -> Server.serve_fd ~stats ~registry srv_fd) () in
+  let c = Client.of_fd cl_fd in
+  let xs = Mat.init 5 m.Model.input_dim (fun _ _ -> g ()) in
+  let states = Array.init 5 (fun i -> i mod m.Model.n_states) in
+  let expect_code tag code = function
+    | Error (Client.Server_error { code = got; _ }) when got = code -> ()
+    | Ok _ -> Alcotest.failf "%s: succeeded" tag
+    | Error f -> Alcotest.failf "%s: %s" tag (Client.failure_to_string f)
   in
-  let n_conns = 4 in
-  let pairs =
-    Array.init n_conns (fun _ ->
-        Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
-  in
-  let servers =
-    Array.map
-      (fun (srv_fd, _) ->
-        Thread.create
-          (fun () -> Server.serve_fd ~stats ~batcher ~registry srv_fd)
-          ())
-      pairs
-  in
-  let reqs = batch_requests m n_conns in
-  let out = Array.make n_conns None in
-  let clients =
-    Array.init n_conns (fun i ->
-        Thread.create
-          (fun () ->
-            let c = Client.of_fd (snd pairs.(i)) in
-            let states, xs, _ = reqs.(i) in
-            out.(i) <- Some (Client.predict_typed c ~name:"m" ~states ~xs);
-            Client.close c)
-          ())
-  in
-  Array.iter Thread.join clients;
-  Array.iter Thread.join servers;
-  Batcher.stop batcher;
-  Array.iteri
-    (fun i (_, _, (em, es)) ->
-      match Option.get out.(i) with
-      | Ok (rm, rs) ->
-          check_true "cross-connection reply bit-identical"
-            (bits_eq em rm && bits_eq es rs)
-      | Error f ->
-          Alcotest.failf "connection %d: %s" i (Client.failure_to_string f))
-    reqs;
-  check_true "connections coalesced into merged calls"
-    (Stats.phase_quantile stats `Occupancy 0.5 > 7.0)
+  (match Client.predict_typed c ~name:"m" ~states ~xs with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "predict: %s" (Client.failure_to_string f));
+  expect_code "bad shape" Protocol.Bad_request
+    (Client.predict_typed c ~name:"m" ~states:[| 0 |] ~xs);
+  expect_code "spent budget" Protocol.Deadline_exceeded
+    (Client.predict_typed ~deadline_ms:0 c ~name:"m" ~states ~xs);
+  expect_code "unknown model" Protocol.Model_not_found
+    (Client.predict_typed c ~name:"nope" ~states ~xs);
+  Client.close c;
+  Thread.join th;
+  let json = Stats.to_json stats in
+  List.iter
+    (fun member -> check_true member (contains json member))
+    [ "\"flushes\":1,\"coalesced_requests\":1,\"max_points\":5,";
+      "\"compute_us\":{\"count\":1,";
+      "\"batch_wait_us\":{\"count\":0,";
+      "\"deadline_exceeded\":1," ]
 
 (* --- Stats JSON --------------------------------------------------------- *)
 
@@ -1559,12 +1551,10 @@ let test_stats_json_golden () =
   Stats.set_queue_depth s 3;
   Stats.set_queue_depth s 1;
   Stats.record_queue_wait s ~seconds:0.00015;
-  Stats.record_batch_phase s ~batch_wait:0.0002 ~compute:0.0011;
-  Stats.record_batch_phase s ~batch_wait:0.0 ~compute:0.0008;
-  Stats.record_flush s ~requests:2 ~points:11;
-  Stats.record_flush s ~requests:1 ~points:0;
+  Stats.record_engine_call s ~points:11 ~seconds:0.0011;
+  Stats.record_engine_call s ~points:0 ~seconds:0.0008;
   Alcotest.(check string) "recorded stats JSON"
-    "{\"requests\":{\"load\":1,\"ping\":1,\"predict\":3},\"errors\":1,\"points\":11,\"max_batch\":8,\"sheds\":1,\"deadline_exceeded\":1,\"queue_depth\":1,\"queue_peak\":3,\"latency_us\":{\"count\":5,\"p50\":5000,\"p99\":inf,\"buckets\":[[1,1],[500,1],[5000,1],[20000,1],[\"inf\",1]]},\"phases\":{\"queue_wait_us\":{\"count\":1,\"p50\":200,\"p99\":200,\"buckets\":[[200,1]]},\"batch_wait_us\":{\"count\":2,\"p50\":1,\"p99\":200,\"buckets\":[[1,1],[200,1]]},\"compute_us\":{\"count\":2,\"p50\":1000,\"p99\":2000,\"buckets\":[[1000,1],[2000,1]]}},\"batch_occupancy\":{\"flushes\":2,\"coalesced_requests\":3,\"max_points\":11,\"p50_points\":1,\"p99_points\":20,\"buckets\":[[1,1],[20,1]]},\"registry\":{\"hits\":1}}"
+    "{\"requests\":{\"load\":1,\"ping\":1,\"predict\":3},\"errors\":1,\"points\":11,\"max_batch\":8,\"sheds\":1,\"deadline_exceeded\":1,\"queue_depth\":1,\"queue_peak\":3,\"latency_us\":{\"count\":5,\"p50\":5000,\"p99\":inf,\"buckets\":[[1,1],[500,1],[5000,1],[20000,1],[\"inf\",1]]},\"phases\":{\"queue_wait_us\":{\"count\":1,\"p50\":200,\"p99\":200,\"buckets\":[[200,1]]},\"batch_wait_us\":{\"count\":0,\"p50\":0,\"p99\":0,\"buckets\":[]},\"compute_us\":{\"count\":2,\"p50\":1000,\"p99\":2000,\"buckets\":[[1000,1],[2000,1]]}},\"batch_occupancy\":{\"flushes\":2,\"coalesced_requests\":2,\"max_points\":11,\"p50_points\":1,\"p99_points\":20,\"buckets\":[[1,1],[20,1]]},\"registry\":{\"hits\":1}}"
     (Stats.to_json ~extra:[ ("registry", "{\"hits\":1}") ] s)
 
 (* --- Pipelined client ------------------------------------------------- *)
@@ -1916,22 +1906,21 @@ let suite =
         case "batch of one = Model.predict" test_engine_batch_of_one;
         case "1/2/4 domains bit-identical" test_engine_domain_invariance;
         case "invalid_arg validation" test_engine_invalid_args;
-        case "deadline: typed fault, else bit-identical" test_engine_deadline ] );
+        case "deadline: typed fault, else bit-identical" test_engine_deadline;
+        case "zero budget always expires" test_engine_zero_budget;
+        case "chunk edges and one-state chunks = scalar" test_engine_chunk_edges;
+        case "empty batch" test_engine_empty_batch;
+        case "explicit pool, inputs untouched" test_engine_explicit_pool;
+        case "concurrent systhreads, multi-chunk: bit-identical"
+          test_engine_concurrent_callers;
+        case "concurrent systhreads at the default pool" test_engine_concurrent_callers_pool;
+        case "inside pool tasks: bit-identical" test_engine_inside_pool_task ] );
     ( "serve.protocol",
       [ case "request/reply round-trips" test_protocol_roundtrip;
         case "v2 messages round-trip" test_protocol_roundtrip_v2;
         case "frozen wire bytes (additive versioning)" test_protocol_wire_compat;
         case "zero-copy framed writes byte-identical" test_protocol_framed_writer;
         case "malformed bodies rejected" test_protocol_rejects ] );
-    ( "serve.batcher",
-      [ case "concurrent submits bit-identical" test_batcher_bit_identity;
-        case "two models merge separately" test_batcher_two_models;
-        case "window=0 degenerates to per-request" test_batcher_window_zero;
-        case "full batch flushes early" test_batcher_early_flush;
-        case "deadlines anchored at enqueue" test_batcher_deadline_anchor;
-        case "bad request fails alone" test_batcher_validation_isolation;
-        case "invalid policy rejected" test_batcher_invalid_policy;
-        case "serve_fd connections coalesce" test_batcher_cross_connection ] );
     ( "serve.shard",
       [ case "ring: deterministic, spread, minimal movement" test_shard_ring;
         case "in-process multi-shard routing" test_shard_routing_inproc;
@@ -1944,6 +1933,9 @@ let suite =
         case "deadline replies, connection survives" test_loopback_deadline;
         case "hot reload over the wire" test_loopback_reload;
         case "pipelined predict_many" test_predict_many;
+        case "concurrent serve_fd connections, multi-chunk requests, bit-identical"
+          test_serve_fd_concurrent;
+        case "full server: concurrent multi-chunk connections" test_server_concurrent;
         case "typed Connection_lost" test_client_connection_lost;
         case "timed-out client stays lost" test_client_stale_reply;
         case "overload sheds with typed reply" test_server_shed_overload;
@@ -1952,6 +1944,7 @@ let suite =
         case "with_failover across replicas" test_with_failover;
         case "supervisor restarts a dead replica" test_supervisor_failover ] );
     ( "serve.stats",
-      [ case "to_json bytes pinned" test_stats_json_golden ] );
+      [ case "to_json bytes pinned" test_stats_json_golden;
+        case "one engine call per served predict" test_stats_engine_calls ] );
     ( "serve.fault",
       [ case "Bad_snapshot taxonomy integration" test_bad_snapshot_fault ] ) ]
