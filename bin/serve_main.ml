@@ -100,7 +100,7 @@ let parse_model_spec spec =
    "<socket>.shard-<i>", then route the pre-registered models to their
    consistent-hash owners over the wire.  The parent just supervises:
    it parks until a signal, then shuts the cluster down gracefully. *)
-let run_sharded ~config ~shards ~models socket =
+let run_sharded ~config ~max_bytes ~shards ~models socket =
   let base_path =
     match socket with
     | Some p -> p
@@ -108,7 +108,7 @@ let run_sharded ~config ~shards ~models socket =
         prerr_endline "cbmf_serve: --shards needs --socket BASE_PATH";
         exit 2
   in
-  let cluster = Shard.start ~config ~shards ~base_path () in
+  let cluster = Shard.start ~config ~max_bytes ~shards ~base_path () in
   Shard.wait_ready cluster;
   Array.iter
     (function
@@ -155,12 +155,11 @@ let run_serve socket port workers timeout max_mb queue_cap deadline
       retry_after_ms;
     }
   in
-  if shards > 1 then run_sharded ~config ~shards ~models socket
+  let max_bytes = max_mb * 1024 * 1024 in
+  if shards > 1 then run_sharded ~config ~max_bytes ~shards ~models socket
   else begin
     let addr = sockaddr ~socket ~port in
-    let registry =
-      Registry.create ~max_bytes:(max_mb * 1024 * 1024) ()
-    in
+    let registry = Registry.create ~max_bytes () in
     List.iter
       (fun spec ->
         let name, path = parse_model_spec spec in

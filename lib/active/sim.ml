@@ -1,5 +1,4 @@
 open Cbmf_linalg
-module Rng = Cbmf_prob.Rng
 module Term = Cbmf_basis.Term
 
 type t = {
@@ -31,45 +30,6 @@ let of_synthetic (gt : Cbmf_circuit.Synthetic.t) =
       (fun ~state ~index x ->
         Cbmf_circuit.Synthetic.simulate gt ~state ~index x);
     cost = (fun _ -> 1.0);
-  }
-
-(* Candidate streams for the physical testbenches reuse the synthetic
-   generator's addressing discipline: one derived stream per
-   (seed, round, candidate), so pools nest as prefixes across budgets
-   and rounds never overlap. *)
-let cand_base ~seed ~round =
-  let open Int64 in
-  add
-    (mul (of_int seed) 0x9E3779B97F4A7C15L)
-    (mul (of_int (round + 1)) 0xBF58476D1CE4E5B9L)
-
-let of_testbench (tb : Cbmf_circuit.Testbench.t)
-    ~(dictionary : Cbmf_basis.Dictionary.t) ~poi ~seed =
-  let n_states = Cbmf_circuit.Testbench.n_states tb in
-  let dim = Cbmf_circuit.Testbench.dim tb in
-  if Cbmf_basis.Dictionary.input_dim dictionary <> dim then
-    invalid_arg "Sim.of_testbench: dictionary/testbench dimension mismatch";
-  if poi < 0 || poi >= Cbmf_circuit.Testbench.n_pois tb then
-    invalid_arg "Sim.of_testbench: poi out of range";
-  {
-    name = tb.Cbmf_circuit.Testbench.name;
-    n_states;
-    n_basis = Cbmf_basis.Dictionary.size dictionary;
-    dim;
-    basis_row = (fun x -> Cbmf_basis.Dictionary.eval dictionary x);
-    candidates =
-      (fun ~round ~n ->
-        if round < 0 then invalid_arg "Sim.candidates: round must be >= 0";
-        if n < 1 then invalid_arg "Sim.candidates: n must be >= 1";
-        Array.init n (fun i ->
-            let rng = Rng.derive (cand_base ~seed ~round) ~index:i in
-            Cbmf_circuit.Process.sample tb.Cbmf_circuit.Testbench.process rng));
-    simulate =
-      (fun ~state ~index:_ x ->
-        (* The MNA "simulator" is deterministic in (state, x); the
-           index only matters for stochastic oracles. *)
-        Cbmf_circuit.Testbench.evaluate_poi tb ~state ~poi x);
-    cost = (fun _ -> tb.Cbmf_circuit.Testbench.seconds_per_sample);
   }
 
 (* The loop's seed grid: [n0] shared candidate draws (round 0),

@@ -2,12 +2,11 @@
 
     The loop only ever needs five capabilities: draw candidate device
     vectors, evaluate the dictionary on one, price a sample, and
-    simulate a chosen (state, x).  Both the synthetic ground-truth
-    generator (exact recovery scoring) and the physical MNA
-    testbenches satisfy them; everything is deterministic from the
-    seed with per-(round, candidate) derived streams, so loop runs are
-    bit-identical at any domain count and nest as prefixes across
-    budgets. *)
+    simulate a chosen (state, x).  The synthetic ground-truth
+    generator (exact recovery scoring) provides them; everything is
+    deterministic from the seed with per-(round, candidate) derived
+    streams, so loop runs are bit-identical at any domain count and
+    nest as prefixes across budgets. *)
 
 open Cbmf_linalg
 
@@ -32,20 +31,6 @@ val of_synthetic : Cbmf_circuit.Synthetic.t -> t
 (** Ground-truth-backed simulator: candidates from
     {!Cbmf_circuit.Synthetic.candidate_xs}, responses from
     {!Cbmf_circuit.Synthetic.simulate}, unit cost. *)
-
-val of_testbench :
-  Cbmf_circuit.Testbench.t ->
-  dictionary:Cbmf_basis.Dictionary.t ->
-  poi:int ->
-  seed:int ->
-  t
-(** Physical-testbench simulator: candidates are
-    {!Cbmf_circuit.Process.sample} draws on (seed, round, i)-derived
-    streams, responses are deterministic
-    {!Cbmf_circuit.Testbench.evaluate_poi} calls, cost is the
-    testbench's modeled seconds per sample.  Raises
-    [Invalid_argument] on dictionary/testbench dimension mismatch or
-    an out-of-range poi. *)
 
 val seed_dataset : t -> n0:int -> Cbmf_model.Dataset.t
 (** The loop's rectangular warm-up grid: the first [n0] round-0

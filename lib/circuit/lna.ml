@@ -116,10 +116,7 @@ let mean_over f lo n =
 
 (* The small-signal model of one (state, variation sample): the
    operating points, the stamped netlist, and everything the gain /
-   noise / IIP3 blocks need downstream.  Built once per sample and
-   shared between the single-frequency PoI evaluation and the
-   multi-frequency gain curve, which sweeps the same netlist through
-   {!Mna.ac_sweep} instead of rebuilding it per point. *)
+   noise / IIP3 blocks need downstream. *)
 type small_signal = {
   ckt : Mna.t;
   n_in : Mna.node;
@@ -218,15 +215,6 @@ let small_signal proc ~state (x : Vec.t) =
     ss_id1 = id1;
   }
 
-(* Gain at one factorized frequency point: Norton drive of the source
-   EMF (unit EMF → current 1/Rs into the input node), referenced to the
-   matched input voltage (EMF/2). *)
-let gain_db ss analysis =
-  let sol = Mna.solve_injection analysis ~pos:ss.n_in ~neg:Mna.ground in
-  let scale = 1.0 /. rsource in
-  let v_out = Complex.norm (Mna.voltage sol ss.n_out) *. scale in
-  Units.db_of_voltage_ratio (2.0 *. Float.max v_out 1e-12)
-
 let evaluate_raw proc ~state (x : Vec.t) =
   let ss = small_signal proc ~state x in
   let op1 = ss.ss_op1 and op2 = ss.ss_op2 in
@@ -265,21 +253,6 @@ let evaluate_raw proc ~state (x : Vec.t) =
   in
   { bias_current = ss.ss_id1; gm1 = op1.Mosfet.gm; nf_db; vg_db; iip3_dbm }
 
-let gain_curve_of proc ~state x ~freqs =
-  let ss = small_signal proc ~state x in
-  Array.map (gain_db ss) (Mna.ac_sweep ss.ckt ~freqs)
-
-(* The pre-sweep cost model: one netlist construction + one [Mna.ac]
-   stamp/factorize per frequency point — what an M-point curve cost
-   before {!Mna.ac_sweep} existed.  Kept as the bit-exactness oracle
-   for {!gain_curve}. *)
-let gain_curve_naive_of proc ~state x ~freqs =
-  Array.map
-    (fun f ->
-      let ss = small_signal proc ~state x in
-      gain_db ss (Mna.ac ss.ckt ~freq:f))
-    freqs
-
 let create () =
   let proc = Process.create device_specs in
   assert (Process.dim proc = n_process_variables);
@@ -294,15 +267,8 @@ let create () =
     poi_names = [| "NF"; "VG"; "IIP3" |];
     poi_units = [| "dB"; "dB"; "dBm" |];
     evaluate;
-    curve = Some (fun ~state x ~freqs -> gain_curve_of proc ~state x ~freqs);
     (* 2.72 h for 1120 transistor-level samples (paper, Table 1). *)
     seconds_per_sample = 2.72 *. 3600.0 /. 1120.0;
   }
 
 let evaluate_internals tb ~state x = evaluate_raw tb.Testbench.process ~state x
-
-let gain_curve tb ~state x ~freqs =
-  gain_curve_of tb.Testbench.process ~state x ~freqs
-
-let gain_curve_naive tb ~state x ~freqs =
-  gain_curve_naive_of tb.Testbench.process ~state x ~freqs

@@ -33,25 +33,3 @@ type internals = {
 val evaluate_internals : Testbench.t -> state:int -> Cbmf_linalg.Vec.t -> internals
 (** Same computation as [evaluate], exposing intermediates.  Only valid
     on testbenches built by {!create}. *)
-
-val gain_curve :
-  Testbench.t ->
-  state:int ->
-  Cbmf_linalg.Vec.t ->
-  freqs:float array ->
-  float array
-(** Voltage gain (dB) at every frequency of the sweep — the sample's
-    small-signal netlist is built and split-stamped once
-    ({!Mna.ac_sweep}) and reassembled per point.  This is the function
-    behind the testbench's [curve] field.  Only valid on testbenches
-    built by {!create}. *)
-
-val gain_curve_naive :
-  Testbench.t ->
-  state:int ->
-  Cbmf_linalg.Vec.t ->
-  freqs:float array ->
-  float array
-(** Reference path for {!gain_curve}: rebuilds the netlist and runs a
-    full {!Mna.ac} stamp + factorization per frequency.  Bit-identical
-    results; kept as the oracle. *)

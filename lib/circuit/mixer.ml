@@ -92,8 +92,7 @@ let soft_min_db a b =
 
 (* The RF front-end operating state of one (state, variation sample):
    tail bias, RF-pair and switch-quad operating points, and the
-   cascode-node pole — shared between the scalar PoI evaluation and the
-   multi-frequency RF transfer curve. *)
+   cascode-node pole attenuation the scalar PoIs fold in. *)
 type rf_front = {
   fr_gl : Process.global;
   fr_i_tail : float;
@@ -103,8 +102,6 @@ type rf_front = {
   fr_sw_ops : Mosfet.op_point array;
   fr_overlap : float;
   fr_eta_sw : float;
-  fr_c_node : float;
-  fr_gm_sw : float;
   fr_pole_att : float;
 }
 
@@ -165,8 +162,6 @@ let rf_front proc ~state (x : Vec.t) =
     fr_sw_ops = sw_ops;
     fr_overlap = overlap;
     fr_eta_sw = eta_sw;
-    fr_c_node = c_node;
-    fr_gm_sw = gm_sw;
     fr_pole_att = pole_att;
   }
 
@@ -246,46 +241,6 @@ let evaluate_raw proc ~state (x : Vec.t) =
     i1dbcp_dbm;
   }
 
-(* RF-path small-signal netlist: the 50 Ω source driving the RF pair's
-   gate capacitance, the pair's transconductance into the cascode
-   (switch-quad source) node, which the quad loads with its ≈1/gm
-   input conductance plus the node capacitance.  Its 2.4 GHz roll-off
-   is exactly the [pole_att] factor the scalar PoIs fold in; the curve
-   exposes the whole transfer.  One netlist per sample serves the full
-   sweep through {!Mna.ac_sweep}. *)
-let rf_netlist fr =
-  let ckt = Mna.create () in
-  let n_rf = Mna.fresh_node ckt "rf" in
-  let n_x = Mna.fresh_node ckt "casc" in
-  Mna.resistor ckt n_rf Mna.ground rsource;
-  Mna.capacitor ckt n_rf Mna.ground
-    (fr.fr_op_rf1.Mosfet.cgs +. fr.fr_op_rf2.Mosfet.cgs);
-  Mna.vccs ckt ~out_pos:n_x ~out_neg:Mna.ground ~ctrl_pos:n_rf
-    ~ctrl_neg:Mna.ground ~gm:fr.fr_gm_rf;
-  Mna.conductance ckt n_x Mna.ground fr.fr_gm_sw;
-  Mna.capacitor ckt n_x Mna.ground fr.fr_c_node;
-  (ckt, n_rf, n_x)
-
-(* Norton drive of the source EMF, referenced to the matched input
-   voltage (EMF/2), like the LNA's gain convention. *)
-let rf_gain_db analysis ~n_rf ~n_x =
-  let sol = Mna.solve_injection analysis ~pos:n_rf ~neg:Mna.ground in
-  let v_x = Complex.norm (Mna.voltage sol n_x) /. rsource in
-  Units.db_of_voltage_ratio (2.0 *. Float.max v_x 1e-12)
-
-let rf_gain_curve_of proc ~state x ~freqs =
-  let fr = rf_front proc ~state x in
-  let ckt, n_rf, n_x = rf_netlist fr in
-  Array.map (fun a -> rf_gain_db a ~n_rf ~n_x) (Mna.ac_sweep ckt ~freqs)
-
-let rf_gain_curve_naive_of proc ~state x ~freqs =
-  Array.map
-    (fun f ->
-      let fr = rf_front proc ~state x in
-      let ckt, n_rf, n_x = rf_netlist fr in
-      rf_gain_db (Mna.ac ckt ~freq:f) ~n_rf ~n_x)
-    freqs
-
 let create () =
   let proc = Process.create ~n_resistor_vars device_specs in
   assert (Process.dim proc = n_process_variables);
@@ -300,15 +255,8 @@ let create () =
     poi_names = [| "NF"; "VG"; "I1dBCP" |];
     poi_units = [| "dB"; "dB"; "dBm" |];
     evaluate;
-    curve = Some (fun ~state x ~freqs -> rf_gain_curve_of proc ~state x ~freqs);
     (* 17.20 h for 1120 transistor-level samples (paper, Table 2). *)
     seconds_per_sample = 17.20 *. 3600.0 /. 1120.0;
   }
 
 let evaluate_internals tb ~state x = evaluate_raw tb.Testbench.process ~state x
-
-let rf_gain_curve tb ~state x ~freqs =
-  rf_gain_curve_of tb.Testbench.process ~state x ~freqs
-
-let rf_gain_curve_naive tb ~state x ~freqs =
-  rf_gain_curve_naive_of tb.Testbench.process ~state x ~freqs

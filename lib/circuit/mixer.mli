@@ -33,27 +33,3 @@ type internals = {
 }
 
 val evaluate_internals : Testbench.t -> state:int -> Cbmf_linalg.Vec.t -> internals
-
-val rf_gain_curve :
-  Testbench.t ->
-  state:int ->
-  Cbmf_linalg.Vec.t ->
-  freqs:float array ->
-  float array
-(** RF front-end transfer (dB) at every frequency of the sweep: the
-    source driving the RF pair's gate capacitance and transconductance
-    into the switch-quad source node, whose 2.4 GHz roll-off is the
-    [pole_att] factor inside the scalar PoIs.  The sample's netlist is
-    built and split-stamped once ({!Mna.ac_sweep}).  This is the
-    function behind the testbench's [curve] field.  Only valid on
-    testbenches built by {!create}. *)
-
-val rf_gain_curve_naive :
-  Testbench.t ->
-  state:int ->
-  Cbmf_linalg.Vec.t ->
-  freqs:float array ->
-  float array
-(** Reference path for {!rf_gain_curve}: rebuilds the netlist and runs
-    a full {!Mna.ac} stamp + factorization per frequency.
-    Bit-identical results; kept as the oracle. *)

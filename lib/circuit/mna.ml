@@ -76,8 +76,6 @@ let vccs ckt ~out_pos ~out_neg ~ctrl_pos ~ctrl_neg ~gm =
     invalid_arg (Printf.sprintf "Mna.vccs: transconductance %g must be finite" gm);
   ckt.elements <- Vccs { op = out_pos; on = out_neg; cp = ctrl_pos; cn = ctrl_neg; gm } :: ckt.elements
 
-let element_count ckt = List.length ckt.elements
-
 type analysis = { lu : Clu.t; n_nodes : int }
 
 exception Singular_circuit
@@ -121,141 +119,6 @@ let ac (ckt : t) ~freq =
   match Clu.factorize y with
   | lu -> { lu; n_nodes = ckt.n_nodes }
   | exception Clu.Singular _ -> raise Singular_circuit
-
-(* --- Split-stamp frequency sweeps -------------------------------------
-   [ac] rebuilds and restamps the full nodal matrix per call; over an
-   M-point sweep that repeats the element-list traversal (and, in the
-   testbenches, the netlist construction feeding it) M times even
-   though only the reactive stamps depend on ω.  A sweep splits the
-   admittance Y(ω) = G + jωC − (j/ω)Γ once per netlist:
-   – the frequency-independent plane G (conductances, VCCS) is
-     accumulated into a dense real template;
-   – every reactive stamp is compiled to a (slot, sign, value, kind)
-     quadruple replayed per frequency as one scalar multiply-add.
-   Replay preserves [ac]'s exact accumulation order within each plane,
-   and the cross-plane ±0.0 contributions [ac] makes are no-ops (an
-   IEEE-754 running sum that starts at +0.0 can never become -0.0, so
-   adding ±0.0 to it is the identity) — the assembled matrix is
-   bit-identical to the one [ac] stamps, and hence so are the
-   factorization and every solve. *)
-
-type stamp_kind = Scaled_cap | Scaled_ind
-
-type sweep = {
-  s_n : int;  (* non-ground nodes *)
-  s_n_nodes : int;
-  g_plane : float array;  (* n×n: the re plane of Y at any ω *)
-  slots : int array;  (* flat n×n target per reactive stamp *)
-  signs : float array;  (* ±1.0 (diagonal vs off-diagonal) *)
-  values : float array;  (* C in farads / L in henries *)
-  kinds : stamp_kind array;
-}
-
-let sweep_of (ckt : t) =
-  let n = ckt.n_nodes - 1 in
-  if n <= 0 then invalid_arg "Mna.ac_sweep: circuit has no non-ground nodes";
-  let g = Array.make (n * n) 0.0 in
-  let add_g i j v = g.((i * n) + j) <- g.((i * n) + j) +. v in
-  let slots = ref []
-  and signs = ref []
-  and values = ref []
-  and kinds = ref [] in
-  let push slot sign v kind =
-    slots := slot :: !slots;
-    signs := sign :: !signs;
-    values := v :: !values;
-    kinds := kind :: !kinds
-  in
-  (* Same target order as [stamp_admittance]: (a,a), (b,b), (a,b), (b,a). *)
-  let reactive a b v kind =
-    if a <> ground then push ((idx a * n) + idx a) 1.0 v kind;
-    if b <> ground then push ((idx b * n) + idx b) 1.0 v kind;
-    if a <> ground && b <> ground then begin
-      push ((idx a * n) + idx b) (-1.0) v kind;
-      push ((idx b * n) + idx a) (-1.0) v kind
-    end
-  in
-  let stamp = function
-    | Conductance (a, b, gv) ->
-        if a <> ground then add_g (idx a) (idx a) gv;
-        if b <> ground then add_g (idx b) (idx b) gv;
-        if a <> ground && b <> ground then begin
-          add_g (idx a) (idx b) (-.gv);
-          add_g (idx b) (idx a) (-.gv)
-        end
-    | Capacitance (a, b, c) -> reactive a b c Scaled_cap
-    | Inductance (a, b, l) -> reactive a b l Scaled_ind
-    | Vccs { op; on; cp; cn; gm } ->
-        let add i j v =
-          if i <> ground && j <> ground then add_g (idx i) (idx j) v
-        in
-        add op cp gm;
-        add op cn (-.gm);
-        add on cp (-.gm);
-        add on cn gm
-  in
-  List.iter stamp ckt.elements;
-  {
-    s_n = n;
-    s_n_nodes = ckt.n_nodes;
-    g_plane = g;
-    slots = Array.of_list (List.rev !slots);
-    signs = Array.of_list (List.rev !signs);
-    values = Array.of_list (List.rev !values);
-    kinds = Array.of_list (List.rev !kinds);
-  }
-
-(* Sweep-path validation parity with [check_value]: every entry must be
-   positive and finite, and the grid strictly increasing — messages
-   name the offending entry and its index. *)
-let check_freqs freqs =
-  let m = Array.length freqs in
-  if m = 0 then invalid_arg "Mna.ac_sweep: empty frequency array";
-  Array.iteri
-    (fun i f ->
-      if (not (Float.is_finite f)) || f <= 0.0 then
-        invalid_arg
-          (Printf.sprintf
-             "Mna.ac_sweep: frequency %g at index %d must be positive and \
-              finite"
-             f i))
-    freqs;
-  for i = 1 to m - 1 do
-    if freqs.(i) <= freqs.(i - 1) then
-      invalid_arg
-        (Printf.sprintf
-           "Mna.ac_sweep: frequencies must be strictly increasing (%g at \
-            index %d does not exceed %g)"
-           freqs.(i) i
-           freqs.(i - 1))
-  done
-
-let ac_sweep (ckt : t) ~freqs =
-  check_freqs freqs;
-  let sw = sweep_of ckt in
-  let n = sw.s_n in
-  let y = Cmat.create n n in
-  let yre = (y : Cmat.t).Cmat.re and yim = (y : Cmat.t).Cmat.im in
-  let n_ops = Array.length sw.slots in
-  Array.map
-    (fun freq ->
-      let omega = 2.0 *. Float.pi *. freq in
-      Array.blit sw.g_plane 0 yre 0 (n * n);
-      Array.fill yim 0 (n * n) 0.0;
-      for p = 0 to n_ops - 1 do
-        let term =
-          match sw.kinds.(p) with
-          | Scaled_cap -> omega *. sw.values.(p)
-          | Scaled_ind -> -1.0 /. (omega *. sw.values.(p))
-        in
-        let s = sw.slots.(p) in
-        yim.(s) <- yim.(s) +. (sw.signs.(p) *. term)
-      done;
-      if Cbmf_robust.Inject.fire ~site:"mna.solve" then raise Singular_circuit;
-      match Clu.factorize y with
-      | lu -> { lu; n_nodes = sw.s_n_nodes }
-      | exception Clu.Singular _ -> raise Singular_circuit)
-    freqs
 
 let solve_injection a ~pos ~neg =
   let n = a.n_nodes - 1 in

@@ -47,8 +47,6 @@ val vccs :
 (** Current [gm·(V(ctrl_pos) − V(ctrl_neg))] flowing out of [out_pos]
     into [out_neg] — the standard transconductance stamp. *)
 
-val element_count : t -> int
-
 (** {1 AC analysis} *)
 
 type analysis
@@ -59,20 +57,6 @@ exception Singular_circuit
 
 val ac : t -> freq:float -> analysis
 (** Build and factorize the nodal matrix at [freq] (Hz, > 0). *)
-
-val ac_sweep : t -> freqs:float array -> analysis array
-(** Factorized systems at every frequency of a sweep, stamping the
-    netlist only once: the frequency-independent conductance plane and
-    the reactive (jωC, −j/ωΓ) stamps are split when the sweep is
-    compiled, and each frequency reassembles Y(ω) as a scaled add.
-    The per-frequency result is bit-identical to calling {!ac} at that
-    frequency (same accumulation order, same factorization), and the
-    ["mna.solve"] fault-injection site fires once per frequency, as a
-    per-frequency {!ac} loop would.
-
-    [freqs] must be non-empty, every entry positive and finite, and
-    strictly increasing; violations raise [Invalid_argument] naming
-    the offending entry and its index. *)
 
 val solve_injection : analysis -> pos:node -> neg:node -> Complex.t array
 (** Node voltages (index 0 = ground = 0V) for a unit AC current

@@ -159,32 +159,6 @@ let generate ?(shared_samples = false) ?(lhs = false) ?(max_retries = 3) ?diag
     { testbench = tb; states; n_per_state = n_keep; dropped }
   end
 
-(* Frequency-response curves over an already-generated sample set: one
-   row per retained sample, one column per frequency.  Each (state,
-   sample) cell owns its output row, so fanning the evaluations over
-   the pool keeps the result bit-identical at any domain count; each
-   evaluation builds its netlist once and sweeps it via
-   [Mna.ac_sweep]. *)
-let curves mc ~freqs =
-  let tb = mc.testbench in
-  let curve =
-    match tb.Testbench.curve with
-    | Some c -> c
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Montecarlo.curves: testbench %s has no frequency-sweep PoI"
-             tb.Testbench.name)
-  in
-  let k = Array.length mc.states and n = mc.n_per_state in
-  let nf = Array.length freqs in
-  let out = Array.init k (fun _ -> Mat.create n nf) in
-  let pool = Cbmf_parallel.Pool.default () in
-  Cbmf_parallel.Pool.parallel_for pool ~n:(k * n) (fun idx ->
-      let s = idx / n and i = idx mod n in
-      Mat.set_row out.(s) i (curve ~state:s (Mat.row mc.states.(s).xs i) ~freqs));
-  out
-
 let total_samples mc = Array.length mc.states * mc.n_per_state
 
 let total_dropped mc = Array.fold_left ( + ) 0 mc.dropped

@@ -1,10 +1,11 @@
 (** Monte-Carlo sample generation over a testbench.
 
     Produces the raw per-state sample sets the modeling flow consumes:
-    an N×dim matrix of variation points and an N×P matrix of PoI
-    values for every state.  Samples are drawn independently per state
-    (as in the paper's transistor-level Monte Carlo), with an optional
-    shared-sample mode and optional Latin-hypercube stratification. *)
+    an N×dim matrix of variation points and an N×P matrix of scalar
+    PoI values (one column per {!Testbench.t} PoI) for every state.
+    Samples are drawn independently per state (as in the paper's
+    transistor-level Monte Carlo), with an optional shared-sample mode
+    and optional Latin-hypercube stratification. *)
 
 open Cbmf_linalg
 
@@ -49,17 +50,6 @@ val generate :
     output is bit-identical to the historical stream.  Raises
     [Cbmf_robust.Fault.Error (Sim_failure _)] if some state loses all
     its samples. *)
-
-val curves : t -> freqs:float array -> Mat.t array
-(** Per-state frequency-response curves of the testbench's swept PoI
-    over the already-generated samples: element [(i, j)] of state [k]'s
-    matrix is the curve value of sample [i] at [freqs.(j)].  Each
-    sample's netlist is built once and swept via {!Mna.ac_sweep}; the
-    evaluations are fanned over the domain pool with index-owned
-    writes, so the result is bit-identical at any domain count.
-    Raises [Invalid_argument] if the testbench has no [curve] (see
-    {!Testbench.t}) or if [freqs] is invalid ({!Mna.ac_sweep}'s
-    validation). *)
 
 val total_samples : t -> int
 (** Number of retained (state, sample) pairs — the unit of the cost

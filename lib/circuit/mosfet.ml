@@ -82,10 +82,6 @@ let instantiate p (g : geometry) (gl : Process.global) (mm : Process.mismatch)
 
 let nominal p g = instantiate p g zero_global zero_mismatch
 
-let effective_vth inst = inst.vth
-
-let effective_beta inst = inst.beta
-
 let ut = Units.thermal_voltage
 
 (* Numerically-safe softplus. *)

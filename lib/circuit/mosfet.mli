@@ -52,10 +52,6 @@ val instantiate :
 val nominal : params -> geometry -> instance
 (** Instance with all variations zero. *)
 
-val effective_vth : instance -> float
-
-val effective_beta : instance -> float
-
 val drain_current : instance -> vgs:float -> float
 
 val transconductance : instance -> vgs:float -> float

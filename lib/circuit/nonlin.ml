@@ -7,6 +7,8 @@ let iip3_vamp ~gm ~gm3 =
   if abs_float gm3 < 1e-30 then infinity
   else sqrt (4.0 /. 3.0 *. (gm /. abs_float gm3))
 
+(* Loop-gain improvement (1 + gm·|Zs|) applied to the IM3-referred
+   amplitude for a series-degenerated stage. *)
 let degeneration_factor ~gm ~zs_mag =
   assert (zs_mag >= 0.0);
   1.0 +. (gm *. zs_mag)

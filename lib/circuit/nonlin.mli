@@ -18,10 +18,6 @@ val iip3_vamp : gm:float -> gm3:float -> float
     control voltage: sqrt(4/3·|gm/gm3|).  Requires [gm > 0]; returns
     [infinity] for vanishing [gm3] (perfectly linear device). *)
 
-val degeneration_factor : gm:float -> zs_mag:float -> float
-(** Loop-gain improvement [(1 + gm·|Zs|)] applied to the IM3-referred
-    amplitude for a series-degenerated stage. *)
-
 val iip3_dbm :
   gm:float ->
   gm3:float ->

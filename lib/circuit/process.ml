@@ -67,8 +67,6 @@ let n_devices p = Array.length p.devices
 
 let dim p = n_globals + (params_per_device * n_devices p) + p.n_res
 
-let device_name p d = p.devices.(d).dev_name
-
 let device_index p name =
   let rec go i =
     if i >= Array.length p.devices then raise Not_found

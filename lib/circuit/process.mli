@@ -60,8 +60,6 @@ val dim : t -> int
 
 val n_devices : t -> int
 
-val device_name : t -> int -> string
-
 val device_index : t -> string -> int
 (** Raises [Not_found] for unknown names. *)
 

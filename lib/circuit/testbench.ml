@@ -7,17 +7,8 @@ type t = {
   poi_names : string array;
   poi_units : string array;
   evaluate : state:int -> Vec.t -> float array;
-  curve : (state:int -> Vec.t -> freqs:float array -> float array) option;
   seconds_per_sample : float;
 }
-
-let evaluate_curve tb ~state ~freqs x =
-  match tb.curve with
-  | Some c -> c ~state x ~freqs
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Testbench.evaluate_curve: %s has no frequency-sweep \
-                         PoI" tb.name)
 
 let dim tb = Process.dim tb.process
 

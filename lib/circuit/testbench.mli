@@ -2,8 +2,10 @@
 
     A testbench knows its variation space, its knob states, its
     performances of interest, and how to "simulate" one sample: map a
-    normalized variation vector to the PoI values of one state.  It
-    also carries the cost model used for the paper's cost columns. *)
+    normalized variation vector to the PoI values of one state, one
+    scalar per PoI at the circuit's operating point (2.4 GHz for the
+    paper's LNA and mixer).  It also carries the cost model used for
+    the paper's cost columns. *)
 
 open Cbmf_linalg
 
@@ -16,13 +18,6 @@ type t = {
   evaluate : state:int -> Vec.t -> float array;
       (** All PoIs of one state at one variation sample.  Deterministic
           in its inputs. *)
-  curve : (state:int -> Vec.t -> freqs:float array -> float array) option;
-      (** Multi-frequency PoI (e.g. a gain curve in dB) of one state at
-          one variation sample, one value per entry of [freqs] — backed
-          by a single split-stamp {!Mna.ac_sweep} pass over the sample's
-          netlist, so an M-point curve does not cost M netlist
-          rebuilds.  [None] for testbenches without a frequency-swept
-          observable.  Deterministic in its inputs. *)
   seconds_per_sample : float;
       (** Modeled transistor-level simulation cost per sample (one
           state, one variation point) on the paper's reference
@@ -40,10 +35,6 @@ val poi_index : t -> string -> int
 (** Raises [Not_found] for unknown PoI names. *)
 
 val evaluate_poi : t -> state:int -> poi:int -> Vec.t -> float
-
-val evaluate_curve : t -> state:int -> freqs:float array -> Vec.t -> float array
-(** The frequency-swept PoI of one sample; raises [Invalid_argument]
-    when the testbench has no [curve]. *)
 
 val simulation_cost_hours : t -> n_samples:int -> float
 (** Modeled cost of [n_samples] transistor-level simulations, hours. *)

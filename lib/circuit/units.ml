@@ -31,11 +31,3 @@ let watts_of_dbm dbm = 1e-3 *. (10.0 ** (dbm /. 10.0))
 let dbm_of_vamp v ~r =
   assert (r > 0.0);
   dbm_of_watts (v *. v /. (2.0 *. r))
-
-let mega = 1e6
-let giga = 1e9
-let milli = 1e-3
-let micro = 1e-6
-let nano = 1e-9
-let pico = 1e-12
-let femto = 1e-15

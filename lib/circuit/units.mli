@@ -33,11 +33,3 @@ val watts_of_dbm : float -> float
 val dbm_of_vamp : float -> r:float -> float
 (** Available/delivered power of a sine of amplitude [v] across [r],
     in dBm: P = v²/(2r). *)
-
-val mega : float
-val giga : float
-val milli : float
-val micro : float
-val nano : float
-val pico : float
-val femto : float

@@ -45,6 +45,7 @@ type result = {
 let nonconstant support =
   Array.of_seq (Seq.filter (fun j -> j > 0) (Array.to_seq support))
 
+(* EM budget shared by both arms. *)
 let default_em = { Em.default_config with Em.max_iter = 15; tol = 1e-4 }
 
 let prior0_of_spec (spec : Synthetic.spec) =

@@ -44,9 +44,6 @@ type result = {
   summary : summary;
 }
 
-val default_em : Cbmf_core.Em.config
-(** EM budget shared by both arms (15 iterations, tol 1e-4). *)
-
 val run :
   ?em:Cbmf_core.Em.config ->
   ?n0:int ->
@@ -58,6 +55,8 @@ val run :
   result
 (** [run spec] evaluates both arms at every budget (samples per state;
     default n0+2, n0+4, … n0+14) and summarizes the sample savings.
+    [em] is the EM budget shared by both arms (default 15 iterations,
+    tol 1e-4).
     Deterministic from the spec.  Raises [Invalid_argument] if a
     budget does not exceed [n0] (the loop's warm-up grid). *)
 

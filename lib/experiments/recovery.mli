@@ -38,8 +38,6 @@ val cbmf_config : Synthetic.spec -> Cbmf_core.Cbmf.config
     bounds the useful θ) — recovery grids run many fits, so the full
     paper grid would be waste. *)
 
-val uncorrelated_config : Synthetic.spec -> Cbmf_core.Cbmf.config
-
 val posterior_path : Synthetic.t -> Dataset.t -> string
 (** Which solver ([`Auto]) the posterior takes on this dataset when
     restricted to the {e true} support — "dual" or "primal". *)

@@ -68,8 +68,6 @@ val neg : t -> t
 
 val map : (float -> float) -> t -> t
 
-val map2 : (float -> float -> float) -> t -> t -> t
-
 val mul : t -> t -> t
 (** Element-wise (Hadamard) product. *)
 

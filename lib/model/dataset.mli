@@ -84,8 +84,8 @@ val select_rows : t -> int array array -> t
     duplication/reordering; used by cross-validation). *)
 
 val select_states : t -> int array -> t
-(** [select_states d states] keeps only the given states, in the given
-    order — the sub-problem a state cluster induces. *)
+(** [select_states d states] copies the given states, in the given
+    order, into a new dataset. *)
 
 val split_fold : t -> n_folds:int -> fold:int -> t * t
 (** [(train, test)] for deterministic interleaved folds: sample [i] of

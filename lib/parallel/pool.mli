@@ -18,7 +18,7 @@
     contention, no per-chunk condvar traffic.  Workers park on a
     mutex/condvar gate between jobs; the submitter bumps an epoch and
     broadcasts once per job.  Chunk sizes default to {!Tune.chunk}
-    ([CBMF_CHUNK] override, auto-calibrated heuristic otherwise).
+    (an auto-calibrated heuristic).
 
     Pool size comes from the [CBMF_DOMAINS] environment variable when
     set, otherwise [Domain.recommended_domain_count ()].  A pool of

@@ -1,25 +1,14 @@
 (* Chunk-size and fan-out heuristics for the domain pool.
 
-   One module owns every scheduling constant that used to be scattered
-   across the hot paths (the pool's [n / (4·size)] default, the serving
-   engine's fixed 64-point batch chunk, ad-hoc "is this worth fanning
-   out" guesses).  Two kinds of knob live here:
-
-   - *Bit-affecting* chunk sizes — the serving engine's batch chunk
-     changes which points share a state bucket, so it must be a pure
-     function of the environment ([CBMF_CHUNK] or the built-in
-     default), never of the pool size or the calibration below.
-     Holding the environment fixed, results stay bit-identical at any
-     [CBMF_DOMAINS].
-
-   - *Bit-neutral* chunk sizes — the pool's index-range chunking and
-     the GEMM fan-out threshold only decide which domain computes
-     which slot; the determinism contract makes the result identical
-     for any value.  These are auto-calibrated: a one-shot startup
-     microbenchmark prices a cross-domain wakeup (mutex + condvar
-     round-trip through a scratch domain) and the per-chunk claim cost
-     (an atomic fetch-and-add), and the heuristics size chunks so the
-     measured overhead stays a few percent of useful work.
+   The pool's index-range chunking and the GEMM fan-out threshold only
+   decide which domain computes which slot; the determinism contract
+   makes the result identical for any value.  They are
+   auto-calibrated: a one-shot startup microbenchmark prices a
+   cross-domain wakeup (mutex + condvar round-trip through a scratch
+   domain) and the per-chunk claim cost (an atomic fetch-and-add), and
+   the heuristics size chunks so the measured overhead stays a few
+   percent of useful work.  (The serving engine's bit-affecting batch
+   chunk is a constant of its own, [Engine.chunk_size].)
 
    On a single-core box ([recommended_domains () = 1]) no pool ever
    fans out, calibration never runs, and every entry point falls
@@ -56,19 +45,6 @@ let memoized cell compute =
   in
   Mutex.unlock memo_mutex;
   v
-
-(* [CBMF_CHUNK]: explicit chunk-size override for every consumer of
-   this module.  Parsed once; invalid values are ignored. *)
-let chunk_override_memo : int option option ref = ref None
-
-let chunk_override () =
-  memoized chunk_override_memo (fun () ->
-      match Sys.getenv_opt "CBMF_CHUNK" with
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some c when c >= 1 -> Some c
-          | _ -> None)
-      | None -> None)
 
 (* --- Startup microbenchmark ----------------------------------------
 
@@ -163,19 +139,16 @@ let calibrated () =
 let chunks_per_domain = 8
 
 let chunk ?(cost_hint_ns = 100.0) ~size ~n () =
-  match chunk_override () with
-  | Some c -> c
-  | None ->
-      if size <= 1 || n <= 1 then Stdlib.max 1 n
-      else begin
-        let { claim_ns; _ } = calibrated () in
-        (* Claim cost ≤ 2% of chunk work: chunk ≥ 50·claim/item. *)
-        let min_items =
-          int_of_float (ceil (50.0 *. claim_ns /. Float.max 1.0 cost_hint_ns))
-        in
-        let balanced = n / (chunks_per_domain * size) in
-        Stdlib.max 1 (Stdlib.max min_items balanced)
-      end
+  if size <= 1 || n <= 1 then Stdlib.max 1 n
+  else begin
+    let { claim_ns; _ } = calibrated () in
+    (* Claim cost ≤ 2% of chunk work: chunk ≥ 50·claim/item. *)
+    let min_items =
+      int_of_float (ceil (50.0 *. claim_ns /. Float.max 1.0 cost_hint_ns))
+    in
+    let balanced = n / (chunks_per_domain * size) in
+    Stdlib.max 1 (Stdlib.max min_items balanced)
+  end
 
 (* --- Fan-out worthwhileness ----------------------------------------
 
@@ -195,18 +168,3 @@ let fanout_worthwhile ~size ~work_ns =
    OCaml kernel code (~1 flop/ns is the right order on current cores
    for the blocked kernels). *)
 let gemm_fanout ~size ~flops = fanout_worthwhile ~size ~work_ns:flops
-
-(* --- Serving-engine batch chunk ------------------------------------
-
-   Bit-affecting: chunk boundaries decide which points are bucketed
-   together, so this must not depend on pool size or calibration.
-   [CBMF_CHUNK] overrides the built-in 64 (documented: changing the
-   environment may change low-order bits of batched variances;
-   changing [CBMF_DOMAINS] never does). *)
-
-let default_batch_chunk = 64
-
-let batch_chunk () =
-  match chunk_override () with
-  | Some c -> c
-  | None -> default_batch_chunk

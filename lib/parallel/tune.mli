@@ -1,9 +1,8 @@
 (** Chunk-size and fan-out heuristics for the domain pool.
 
-    Owns every scheduling constant: the [CBMF_CHUNK] override, the
-    pool's index-range chunk heuristic, the GEMM fan-out threshold
-    (both auto-calibrated from a one-shot startup microbenchmark), and
-    the serving engine's fixed batch chunk.  Self-contained — [Pool]
+    Owns the pool's scheduling constants: the index-range chunk
+    heuristic and the GEMM fan-out threshold, both auto-calibrated
+    from a one-shot startup microbenchmark.  Self-contained — [Pool]
     depends on this module, never the reverse. *)
 
 val max_domains : int
@@ -31,10 +30,10 @@ val calibrated : unit -> calibration
 
 val chunk : ?cost_hint_ns:float -> size:int -> n:int -> unit -> int
 (** Chunk size for a pool fan-out over [n] items on [size] domains.
-    [CBMF_CHUNK] overrides everything.  Otherwise aims for ~8 chunks
-    per domain while keeping the per-chunk claim cost under ~2% of the
-    chunk's work ([cost_hint_ns] = rough per-item cost, default
-    100 ns).  Bit-neutral: affects scheduling only, never results. *)
+    Aims for ~8 chunks per domain while keeping the per-chunk claim
+    cost under ~2% of the chunk's work ([cost_hint_ns] = rough
+    per-item cost, default 100 ns).  Bit-neutral: affects scheduling
+    only, never results. *)
 
 val fanout_worthwhile : size:int -> work_ns:float -> bool
 (** Whether a job with roughly [work_ns] nanoseconds of sequential
@@ -46,12 +45,3 @@ val gemm_fanout : size:int -> flops:float -> bool
     of blocked kernel code.  Bit-neutral: the panel-parallel kernels
     are arithmetic-identical to their sequential forms, so this
     threshold affects performance only. *)
-
-val default_batch_chunk : int
-
-val batch_chunk : unit -> int
-(** Serving-engine batch chunk: [CBMF_CHUNK] or 64.  Bit-affecting
-    (chunk boundaries decide which points share a state bucket), hence
-    a pure function of the environment — never of pool size or
-    calibration — so results are bit-identical at any
-    [CBMF_DOMAINS]. *)

@@ -15,14 +15,12 @@ let deadline_fault step =
     (Fault.Early_stop
        { site = deadline_site; step; reason = "deadline exceeded" })
 
-(* Fixed fan-out granularity, owned by [Tune.batch_chunk] ([CBMF_CHUNK]
-   override, 64 otherwise).  MUST NOT depend on the pool size — chunk
+(* Fixed fan-out granularity.  MUST NOT depend on the pool size — chunk
    boundaries being a pure function of the batch makes the output
-   bit-identical at any CBMF_DOMAINS.  (Changing [CBMF_CHUNK] itself
-   may move points between buckets and hence low-order variance bits;
-   it is an environment constant, so any fixed setting is still
-   domain-count-invariant.) *)
-let chunk_size = Tune.batch_chunk ()
+   bit-identical at any CBMF_DOMAINS.  (Chunk boundaries decide which
+   points share a state bucket, so a different constant could move
+   low-order variance bits.) *)
+let chunk_size = 64
 
 let predict_batch ?pool ?deadline (m : Model.t) ~states ~(xs : Mat.t) =
   let n = xs.Mat.rows in

@@ -22,11 +22,9 @@ open Cbmf_linalg
 open Cbmf_parallel
 
 val chunk_size : int
-(** The fixed fan-out granularity (points per pool task):
-    {!Cbmf_parallel.Tune.batch_chunk} — [CBMF_CHUNK] when set, 64
-    otherwise — read once at startup.  Independent of the pool size,
-    so chunk boundaries (and hence results) are bit-identical at any
-    [CBMF_DOMAINS]. *)
+(** The fixed fan-out granularity (points per pool task): 64.
+    Independent of the pool size, so chunk boundaries (and hence
+    results) are bit-identical at any [CBMF_DOMAINS]. *)
 
 val deadline_site : string
 (** ["serve.deadline"] — the site carried by the typed

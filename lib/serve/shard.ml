@@ -135,7 +135,8 @@ let shard_path ~base_path i = Printf.sprintf "%s.shard-%d" base_path i
 
 let shard_addr ~base_path i = Unix.ADDR_UNIX (shard_path ~base_path i)
 
-let start ?(config = Server.default_config) ?vnodes ~shards ~base_path () =
+let start ?(config = Server.default_config) ?max_bytes ?vnodes ~shards
+    ~base_path () =
   if shards < 1 then invalid_arg "Shard.start: shard count must be >= 1";
   let paths = Array.init shards (shard_path ~base_path) in
   let addrs = Array.map (fun p -> Unix.ADDR_UNIX p) paths in
@@ -148,7 +149,8 @@ let start ?(config = Server.default_config) ?vnodes ~shards ~base_path () =
                [_exit] skips at_exit / buffer flushing inherited from
                the parent — those belong to the parent's state. *)
             (try
-               let srv = Server.start ~config addr in
+               let registry = Registry.create ?max_bytes () in
+               let srv = Server.start ~config ~registry addr in
                Server.wait srv
              with _ -> ());
             Unix._exit 0

@@ -71,15 +71,18 @@ val shard_addr : base_path:string -> int -> Unix.sockaddr
 
 val start :
   ?config:Server.config ->
+  ?max_bytes:int ->
   ?vnodes:int ->
   shards:int ->
   base_path:string ->
   unit ->
   cluster
 (** Fork one child per shard, each running [Server.start ~config] on
-    [ADDR_UNIX "<base_path>.shard-<i>"].  Children are forked before
-    they own any threads (the server's threads are spawned fresh
-    inside each child).  Call {!wait_ready} before routing traffic. *)
+    [ADDR_UNIX "<base_path>.shard-<i>"] over its own registry with a
+    [max_bytes] budget (default: {!Registry.create}'s 256 MiB).
+    Children are forked before they own any threads (the server's
+    threads are spawned fresh inside each child).  Call {!wait_ready}
+    before routing traffic. *)
 
 val addrs : cluster -> Unix.sockaddr array
 

@@ -11,10 +11,6 @@ let hash_floats_acc acc (xs : float array) =
 
 let hash_floats xs = hash_floats_acc fnv_offset xs
 
-let hash_vec (v : Vec.t) = hash_floats v
-
-let hash_mat (m : Mat.t) = hash_floats m.Mat.data
-
 let hash_mats (ms : Mat.t array) =
   Array.fold_left (fun acc (m : Mat.t) -> hash_floats_acc acc m.Mat.data)
     fnv_offset ms

@@ -21,10 +21,6 @@ val hash_floats_acc : int64 -> float array -> int64
 
 val hash_floats : float array -> int64
 
-val hash_vec : Vec.t -> int64
-
-val hash_mat : Mat.t -> int64
-
 val hash_mats : Mat.t array -> int64
 (** All matrices chained in order under one accumulator. *)
 
@@ -33,10 +29,8 @@ val hash_mats : Mat.t array -> int64
     All take an explicit generator so call sites control the stream;
     {!default_rng} reproduces the seed the historical test corpus used. *)
 
-val default_seed : int
-
 val default_rng : unit -> Cbmf_prob.Rng.t
-(** A fresh generator seeded with {!default_seed}. *)
+(** A fresh generator on the historical corpus seed. *)
 
 val random_vec : Cbmf_prob.Rng.t -> int -> Vec.t
 

@@ -4,8 +4,9 @@
    real 3-shard cluster (one Server per child process, Unix-domain
    sockets "<base>.shard-<i>"), waits for every shard to answer a
    ping, then drives the consistent-hash router end to end — models
-   loaded through the router land only on their hash owner, routed
-   predicts are bit-identical to the local engine, pipelined
+   loaded through the router land only on their hash owner, every
+   shard reports the registry budget the cluster was started with,
+   routed predicts are bit-identical to the local engine, pipelined
    [predict_many] agrees slot for slot, a hot reload bumps the slot
    generation without moving the model, and a graceful stop reaps
    every child and removes the socket files.  Exits nonzero on any
@@ -33,6 +34,13 @@ let bits_eq xs ys =
   && Array.for_all2
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        xs ys
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
 
 let srng = Cbmf_prob.Rng.create 24680
 
@@ -83,10 +91,12 @@ let () =
   Unix.mkdir dir 0o700;
   let base = Filename.concat dir "cluster.sock" in
 
+  (* A non-default registry budget, ample for the six small models. *)
+  let max_bytes = 8 * 1024 * 1024 in
   let cluster =
     Shard.start
       ~config:{ Server.default_config with workers = 2; timeout = 30.0 }
-      ~shards:n_shards ~base_path:base ()
+      ~max_bytes ~shards:n_shards ~base_path:base ()
   in
   Shard.wait_ready cluster;
   let router = Shard.connect cluster in
@@ -130,6 +140,19 @@ let () =
     end
   done;
   check "model lives only on its hash owner" (not !misplaced);
+
+  (* Every shard's registry carries the cluster's budget. *)
+  let budget_key = Printf.sprintf "\"max_bytes\":%d}" max_bytes in
+  for i = 0 to n_shards - 1 do
+    let c = Client.connect (Shard.shard_addr ~base_path:base i) in
+    (match Client.stats c with
+    | Ok json ->
+        check
+          (Printf.sprintf "shard %d stats report max_bytes %d" i max_bytes)
+          (contains ~sub:budget_key json)
+    | Error e -> check (Printf.sprintf "shard %d stats: %s" i e) false);
+    Client.close c
+  done;
 
   (* Routed predicts: bit-identical to the local engine. *)
   Array.iteri

@@ -13,7 +13,6 @@ let () =
          Test_testbench.suite;
          Test_model.suite;
          Test_core.suite;
-         Test_cluster.suite;
          Test_parallel.suite;
          Test_robust.suite;
          Test_serve.suite;
@@ -23,4 +22,5 @@ let () =
          Test_posterior_oracle.suite;
          Test_active.suite;
          Test_frontend_oracle.suite;
+         Test_fuzz.suite;
          Test_integration.suite ])

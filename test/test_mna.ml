@@ -96,6 +96,118 @@ let test_node_names () =
   check_true "beta" (String.equal (Mna.node_name ckt b) "beta");
   check_int "count" 3 (Mna.node_count ckt)
 
+let test_ac_validation () =
+  let ckt = Mna.create () in
+  let a = Mna.fresh_node ckt "a" in
+  Mna.resistor ckt a Mna.ground 50.0;
+  List.iter
+    (fun freq ->
+      check_raises_invalid (Printf.sprintf "frequency %g" freq) (fun () ->
+          Mna.ac ckt ~freq))
+    [ -0.0; -1.0e9; Float.nan; Float.infinity; Float.neg_infinity ];
+  check_raises_invalid "ground-only circuit" (fun () ->
+      Mna.ac (Mna.create ()) ~freq:1.0e9);
+  check_raises_invalid "zero resistance" (fun () ->
+      Mna.resistor ckt a Mna.ground 0.0);
+  check_raises_invalid "zero inductance" (fun () ->
+      Mna.inductor ckt a Mna.ground 0.0);
+  check_raises_invalid "infinite capacitance" (fun () ->
+      Mna.capacitor ckt a Mna.ground Float.infinity);
+  check_raises_invalid "node_name past the last node" (fun () ->
+      Mna.node_name ckt 2);
+  (* Zero conductance and capacitance are legal and stamp nothing. *)
+  Mna.conductance ckt a Mna.ground 0.0;
+  Mna.capacitor ckt a Mna.ground 0.0;
+  let sol = Mna.solve_injection (Mna.ac ckt ~freq:1.0e9) ~pos:a ~neg:Mna.ground in
+  check_float ~tol:1e-12 "rejected and zero elements change nothing" 50.0
+    (Complex.norm (Mna.voltage sol a))
+
+let test_series_rc_across_frequencies () =
+  (* a —R— b —C— gnd: Z_in = R + 1/(jωC), and V(b) = 1/(jωC). *)
+  let r = 330.0 and c = 2.2e-12 in
+  let ckt = Mna.create () in
+  let a = Mna.fresh_node ckt "a" in
+  let b = Mna.fresh_node ckt "b" in
+  Mna.resistor ckt a b r;
+  Mna.capacitor ckt b Mna.ground c;
+  List.iter
+    (fun freq ->
+      let zc = -1.0 /. (2.0 *. Float.pi *. freq *. c) in
+      let tol = 1e-9 *. Float.max r (abs_float zc) in
+      let an = Mna.ac ckt ~freq in
+      let at_a = Mna.solve_injection an ~pos:a ~neg:Mna.ground in
+      let va = Mna.voltage at_a a and vb = Mna.voltage at_a b in
+      let label what = Printf.sprintf "%s at %.0e Hz" what freq in
+      check_float ~tol (label "Re Z_in") r va.Complex.re;
+      check_float ~tol (label "Im Z_in") zc va.Complex.im;
+      check_float ~tol (label "Re V(b)") 0.0 vb.Complex.re;
+      check_float ~tol (label "Im V(b)") zc vb.Complex.im;
+      (* The same factorization serves a second injection: current into
+         b never crosses R, so V(a) = V(b). *)
+      let at_b = Mna.solve_injection an ~pos:b ~neg:Mna.ground in
+      check_float ~tol (label "no drop across R")
+        0.0 (Complex.norm (Mna.differential at_b a b)))
+    [ 1.0e6; 1.0e8; 2.4e9; 1.0e10 ]
+
+(* A passive RLC ladder a — b — c, loaded at both ends. *)
+let ladder () =
+  let ckt = Mna.create () in
+  let a = Mna.fresh_node ckt "a" in
+  let b = Mna.fresh_node ckt "b" in
+  let c = Mna.fresh_node ckt "c" in
+  Mna.resistor ckt a Mna.ground 75.0;
+  Mna.inductor ckt a b 4.0e-9;
+  Mna.capacitor ckt b Mna.ground 1.5e-12;
+  Mna.resistor ckt b c 220.0;
+  Mna.capacitor ckt c Mna.ground 0.8e-12;
+  Mna.resistor ckt c Mna.ground 1.0e3;
+  (ckt, a, b, c)
+
+let test_reciprocity () =
+  let ckt, a, _, c = ladder () in
+  (* Transfer impedances Z_ca (inject at a, sense c) and Z_ac. *)
+  let transfer () =
+    let an = Mna.ac ckt ~freq:2.4e9 in
+    let into_a = Mna.solve_injection an ~pos:a ~neg:Mna.ground in
+    let into_c = Mna.solve_injection an ~pos:c ~neg:Mna.ground in
+    (Mna.voltage into_a c, Mna.voltage into_c a)
+  in
+  let z_ca, z_ac = transfer () in
+  let tol = 1e-9 *. Complex.norm z_ca in
+  check_true "non-trivial transfer" (Complex.norm z_ca > 1.0);
+  check_float ~tol "Re Z_ca = Re Z_ac" z_ca.Complex.re z_ac.Complex.re;
+  check_float ~tol "Im Z_ca = Im Z_ac" z_ca.Complex.im z_ac.Complex.im;
+  (* A transconductor is a one-way element: it breaks reciprocity. *)
+  Mna.vccs ckt ~out_pos:c ~out_neg:Mna.ground ~ctrl_pos:a ~ctrl_neg:Mna.ground
+    ~gm:0.02;
+  let fwd, rev = transfer () in
+  check_true "vccs makes Z_ca differ from Z_ac"
+    (Complex.norm (Complex.sub fwd rev) > 0.1 *. Complex.norm rev)
+
+let test_injection_superposition () =
+  let ckt, a, b, c = ladder () in
+  let an = Mna.ac ckt ~freq:1.2e9 in
+  let into_a = Mna.solve_injection an ~pos:a ~neg:Mna.ground in
+  let into_c = Mna.solve_injection an ~pos:c ~neg:Mna.ground in
+  let a_to_c = Mna.solve_injection an ~pos:a ~neg:c in
+  check_int "one voltage per node" (Mna.node_count ckt) (Array.length a_to_c);
+  List.iter
+    (fun n ->
+      let expected = Complex.sub (Mna.voltage into_a n) (Mna.voltage into_c n) in
+      let got = Mna.voltage a_to_c n in
+      let tol = 1e-9 *. Float.max 1.0 (Complex.norm expected) in
+      let label = Mna.node_name ckt n in
+      check_float ~tol ("Re V(" ^ label ^ ")") expected.Complex.re got.Complex.re;
+      check_float ~tol ("Im V(" ^ label ^ ")") expected.Complex.im got.Complex.im)
+    [ a; b; c ];
+  check_float "ground stays at 0 V" 0.0
+    (Complex.norm (Mna.voltage a_to_c Mna.ground));
+  check_float "a source drawn from its own node injects nothing" 0.0
+    (Array.fold_left
+       (fun m v -> Float.max m (Complex.norm v))
+       0.0
+       (Mna.solve_injection an ~pos:b ~neg:b))
+
 (* --- Noise --- *)
 
 let test_resistor_noise_psd () =
@@ -193,7 +305,11 @@ let suite =
         case "LC resonance" test_lc_resonance;
         case "vccs amplifier" test_vccs_amplifier;
         case "floating node" test_floating_node_singular;
-        case "node names" test_node_names ] );
+        case "node names" test_node_names;
+        case "ac and element validation" test_ac_validation;
+        case "series RC across frequencies" test_series_rc_across_frequencies;
+        case "passive network is reciprocal" test_reciprocity;
+        case "injection superposition" test_injection_superposition ] );
     ( "circuit.noise",
       [ case "resistor psd" test_resistor_noise_psd;
         case "lone source NF = 0 dB" test_single_resistor_nf;

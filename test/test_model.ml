@@ -71,6 +71,18 @@ let test_dataset_select_rows () =
   check_int "rows" 2 sel.Dataset.n_samples;
   check_float "reorder" d.Dataset.response.(1).(4) sel.Dataset.response.(1).(0)
 
+let test_dataset_select_states () =
+  let d = planted ~k:12 () in
+  let sub = Dataset.select_states d [| 2; 7; 11 |] in
+  check_int "states" 3 sub.Dataset.n_states;
+  check_float "copied response" d.Dataset.response.(7).(3) sub.Dataset.response.(1).(3);
+  (* A copy, not a view: writing the subset leaves the source alone. *)
+  let y = d.Dataset.response.(7).(3) and b = Mat.get d.Dataset.design.(7) 3 4 in
+  sub.Dataset.response.(1).(3) <- y +. 1.0;
+  Mat.set sub.Dataset.design.(1) 3 4 (b +. 1.0);
+  check_float "source response kept" y d.Dataset.response.(7).(3);
+  check_float "source design kept" b (Mat.get d.Dataset.design.(7) 3 4)
+
 let test_dataset_mismatch_rejected () =
   let d = planted ~n:5 () in
   match
@@ -249,6 +261,7 @@ let suite =
         case "truncate" test_dataset_truncate;
         case "fold split partitions" test_dataset_fold_split;
         case "select_rows" test_dataset_select_rows;
+        case "select_states" test_dataset_select_states;
         case "shape mismatch rejected" test_dataset_mismatch_rejected;
         case "response_norm" test_dataset_response_norm ] );
     ( "model.metrics",

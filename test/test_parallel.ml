@@ -242,21 +242,33 @@ let test_tune_bounds () =
   check_true "sequential iff one domain" (Tune.sequential_recommended () = (r = 1));
   check_true "never fan out to one domain"
     (not (Tune.fanout_worthwhile ~size:1 ~work_ns:1e12));
-  (* CBMF_CHUNK, when valid, overrides every chunk size. *)
-  let override =
-    match
-      Option.bind (Sys.getenv_opt "CBMF_CHUNK") (fun s ->
-          int_of_string_opt (String.trim s))
-    with
-    | Some c when c >= 1 -> Some c
-    | _ -> None
-  in
-  check_int "one domain: the whole range is one chunk"
-    (Option.value override ~default:100)
+  check_int "one domain: the whole range is one chunk" 100
     (Tune.chunk ~size:1 ~n:100 ());
-  check_int "serving batch chunk"
-    (Option.value override ~default:Tune.default_batch_chunk)
-    (Tune.batch_chunk ())
+  check_int "serving batch chunk" 64 Cbmf_serve.Engine.chunk_size
+
+let test_tune_chunk () =
+  let module Tune = Cbmf_parallel.Tune in
+  check_int "empty range" 1 (Tune.chunk ~size:4 ~n:0 ());
+  check_int "single item" 1 (Tune.chunk ~size:4 ~n:1 ());
+  check_int "one domain ignores the cost hint" 1000
+    (Tune.chunk ~cost_hint_ns:1e6 ~size:1 ~n:1000 ());
+  (* Costly items: one item already dwarfs a claim, so the range splits
+     into 8 chunks per domain. *)
+  check_int "8 chunks per domain" 100 (Tune.chunk ~cost_hint_ns:1e9 ~size:2 ~n:1600 ());
+  check_int "never below one item" 1 (Tune.chunk ~cost_hint_ns:1e9 ~size:4 ~n:3 ());
+  (* Cheap items: a chunk's work must cover 50 claims (claim ≤ 2 %). *)
+  let { Tune.claim_ns; _ } = Tune.calibrated () in
+  check_true "claim cost clamped" (claim_ns >= 5.0 && claim_ns <= 2000.0);
+  List.iter
+    (fun (cost_hint_ns, n) ->
+      let c = Tune.chunk ~cost_hint_ns ~size:2 ~n () in
+      if float_of_int c *. cost_hint_ns < 50.0 *. claim_ns then
+        Alcotest.failf "chunk %d of %g ns items pays over 2%% in claims (%g ns each)"
+          c cost_hint_ns claim_ns)
+    [ (1.0, 16); (1.0, 100_000); (20.0, 64); (100.0, 10) ];
+  let sizes = List.map (fun n -> Tune.chunk ~size:2 ~n ()) [ 10; 1_000; 100_000 ] in
+  check_true "chunks grow with the range"
+    (List.sort compare sizes = sizes)
 
 let test_arena () =
   let module Arena = Cbmf_parallel.Arena in
@@ -292,6 +304,7 @@ let suite =
         case "size-1 pool is strictly sequential" test_size_one_sequential;
         case "env override parsing" test_env_parsing;
         case "tune: domain clamp and chunk sizes" test_tune_bounds;
+        case "tune: chunk heuristic" test_tune_chunk;
         case "arena: exact lengths, reuse, zeroing" test_arena ] );
     ( "parallel.shutdown",
       [ case "shutdown during in-flight job" test_shutdown_during_job;

@@ -148,6 +148,48 @@ let test_mixer_internals () =
   check_float ~tol:1e-9 "nominal load" 300.0 r.Mixer.load_ohms;
   check_true "conversion gain linear > 1" (r.Mixer.conversion_gain > 1.0)
 
+let test_mixer_deterministic () =
+  let tb = Lazy.force mixer in
+  let x = Process.sample tb.Testbench.process (Cbmf_prob.Rng.create 57) in
+  let a = tb.Testbench.evaluate ~state:21 x in
+  check_bits "repeat evaluation" a (tb.Testbench.evaluate ~state:21 x);
+  (* Building the testbench again yields the same simulator. *)
+  check_bits "fresh testbench" a ((Mixer.create ()).Testbench.evaluate ~state:21 x)
+
+(* --- PoI access, shared by both testbenches --- *)
+
+(* [poi_index] inverts [poi_names]; [evaluate_poi] and [internals] are
+   the same computation as [evaluate], bit for bit. *)
+let check_poi_access tb ~internals =
+  let names = tb.Testbench.poi_names in
+  check_int "one unit per PoI" (Array.length names)
+    (Array.length tb.Testbench.poi_units);
+  Array.iteri (fun i name -> check_int name i (Testbench.poi_index tb name)) names;
+  (match Testbench.poi_index tb "gain" with
+  | i -> Alcotest.failf "unknown PoI found at %d" i
+  | exception Not_found -> ());
+  let x = Process.sample tb.Testbench.process (Cbmf_prob.Rng.create 17) in
+  let all = tb.Testbench.evaluate ~state:9 x in
+  check_int "one value per PoI" (Array.length names) (Array.length all);
+  Array.iteri
+    (fun poi v ->
+      check_bits
+        (Printf.sprintf "evaluate_poi %s" names.(poi))
+        [| v |]
+        [| Testbench.evaluate_poi tb ~state:9 ~poi x |])
+    all;
+  check_bits "internals = evaluate" all (internals tb ~state:9 x)
+
+let test_lna_poi_access () =
+  check_poi_access (Lazy.force lna) ~internals:(fun tb ~state x ->
+      let r = Lna.evaluate_internals tb ~state x in
+      [| r.Lna.nf_db; r.Lna.vg_db; r.Lna.iip3_dbm |])
+
+let test_mixer_poi_access () =
+  check_poi_access (Lazy.force mixer) ~internals:(fun tb ~state x ->
+      let r = Mixer.evaluate_internals tb ~state x in
+      [| r.Mixer.nf_db; r.Mixer.vg_db; r.Mixer.i1dbcp_dbm |])
+
 (* --- Cost model + Monte Carlo --- *)
 
 let test_cost_model () =
@@ -192,6 +234,96 @@ let test_montecarlo_shared () =
     (Mat.get mc.Montecarlo.states.(0).Montecarlo.xs 0 17)
     (Mat.get mc.Montecarlo.states.(9).Montecarlo.xs 0 17)
 
+let mc_hash (mc : Montecarlo.t) =
+  let xs = Array.map (fun s -> s.Montecarlo.xs) mc.Montecarlo.states in
+  let ys = Array.map (fun s -> s.Montecarlo.ys) mc.Montecarlo.states in
+  Int64.logxor (hash_mats xs) (Int64.mul 0x9E3779B97F4A7C15L (hash_mats ys))
+
+let test_montecarlo_rows_are_evaluations () =
+  (* Every stored PoI row is the testbench's own answer at the stored
+     variation point, bit for bit, in every state. *)
+  let tb = Lazy.force mixer in
+  let mc = Montecarlo.generate tb (Cbmf_prob.Rng.create 5) ~n_per_state:2 in
+  let open Cbmf_linalg in
+  Array.iteri
+    (fun s st ->
+      for i = 0 to 1 do
+        check_bits
+          (Printf.sprintf "state %d row %d" s i)
+          (tb.Testbench.evaluate ~state:s (Mat.row st.Montecarlo.xs i))
+          (Mat.row st.Montecarlo.ys i)
+      done)
+    mc.Montecarlo.states;
+  check_bits "poi_column = ys column"
+    (Mat.col mc.Montecarlo.states.(4).Montecarlo.ys 2)
+    (Montecarlo.poi_column mc ~state:4 ~poi:2)
+
+let test_montecarlo_clean_run () =
+  let tb = Lazy.force lna in
+  let mc = Montecarlo.generate tb (Cbmf_prob.Rng.create 6) ~n_per_state:3 in
+  check_int "nothing dropped" 0 (Montecarlo.total_dropped mc);
+  check_true "no state dropped a sample"
+    (Array.for_all (fun d -> d = 0) mc.Montecarlo.dropped);
+  check_int "samples kept" 3 mc.Montecarlo.n_per_state;
+  check_float ~tol:1e-12 "hours = cost model of every sample"
+    (Testbench.simulation_cost_hours tb ~n_samples:(3 * 32))
+    (Montecarlo.simulation_hours mc);
+  check_float ~tol:1e-12 "truncation bills only the kept prefix"
+    (Testbench.simulation_cost_hours tb ~n_samples:32)
+    (Montecarlo.simulation_hours (Montecarlo.truncate mc ~n:1));
+  check_raises_invalid "zero samples per state" (fun () ->
+      Montecarlo.generate tb (Cbmf_prob.Rng.create 6) ~n_per_state:0);
+  check_raises_invalid "negative samples per state" (fun () ->
+      Montecarlo.generate tb (Cbmf_prob.Rng.create 6) ~n_per_state:(-2))
+
+let test_montecarlo_fresh_and_replayable () =
+  let tb = Lazy.force lna in
+  let rng = Cbmf_prob.Rng.create 9 in
+  let first = Montecarlo.generate tb rng ~n_per_state:2 in
+  let second = Montecarlo.generate tb rng ~n_per_state:2 in
+  let replay = Montecarlo.generate tb (Cbmf_prob.Rng.create 9) ~n_per_state:2 in
+  check_true "the same seed replays every bit"
+    (Int64.equal (mc_hash first) (mc_hash replay));
+  check_true "a second call on one stream draws fresh samples"
+    (not (Int64.equal (mc_hash first) (mc_hash second)));
+  let open Cbmf_linalg in
+  check_true "states draw independent samples"
+    (Mat.get first.Montecarlo.states.(0).Montecarlo.xs 0 17
+    <> Mat.get first.Montecarlo.states.(9).Montecarlo.xs 0 17)
+
+let test_montecarlo_lhs () =
+  (* Latin hypercube: within each state, every variable puts exactly one
+     of the n samples in each of the n equal-probability strata.  The
+     slack covers the quantile/cdf round trip (accurate to ~1e-5). *)
+  let tb = Lazy.force lna in
+  let n = 4 in
+  let gen ?lhs () =
+    Montecarlo.generate ?lhs tb (Cbmf_prob.Rng.create 8) ~n_per_state:n
+  in
+  let mc = gen ~lhs:true () in
+  check_true "stratified draw replays"
+    (Int64.equal (mc_hash mc) (mc_hash (gen ~lhs:true ())));
+  check_true "stratified draw differs from the plain one"
+    (not (Int64.equal (mc_hash mc) (mc_hash (gen ()))));
+  let open Cbmf_linalg in
+  let slack = 1e-4 in
+  List.iter
+    (fun s ->
+      let xs = mc.Montecarlo.states.(s).Montecarlo.xs in
+      for j = 0 to Testbench.dim tb - 1 do
+        let u = Array.init n (fun i -> Cbmf_prob.Gaussian.cdf (Mat.get xs i j)) in
+        Array.sort Float.compare u;
+        Array.iteri
+          (fun i p ->
+            let lo = float_of_int i /. float_of_int n in
+            let hi = float_of_int (i + 1) /. float_of_int n in
+            if p < lo -. slack || p > hi +. slack then
+              Alcotest.failf "state %d variable %d: sample %d at p = %g, not in [%g, %g]"
+                s j i p lo hi)
+          u
+      done)
+    [ 0; 13; 31 ]
+
 let suite =
   [ ( "circuit.lna",
       [ case "dimensions" test_lna_dimensions;
@@ -201,16 +333,26 @@ let suite =
         case "knob smoothness" test_lna_smooth_in_knob;
         case "process sensitivity" test_lna_vth_sensitivity;
         case "internals" test_lna_internals;
-        case "periphery is weak" test_lna_periphery_weak ] );
+        case "periphery is weak" test_lna_periphery_weak;
+        case "poi lookup and evaluate_poi" test_lna_poi_access ] );
     ( "circuit.mixer",
       [ case "dimensions" test_mixer_dimensions;
         case "nominal sanity" test_mixer_nominal_sanity;
         case "knob directions" test_mixer_knob_direction;
         case "load mismatch" test_mixer_load_mismatch;
         case "knob smoothness" test_mixer_smooth_in_knob;
-        case "internals" test_mixer_internals ] );
+        case "internals" test_mixer_internals;
+        case "deterministic" test_mixer_deterministic;
+        case "poi lookup and evaluate_poi" test_mixer_poi_access ] );
     ( "circuit.montecarlo",
       [ case "cost model" test_cost_model;
         case "shapes" test_montecarlo_shapes;
         case "truncate prefix" test_montecarlo_truncate;
-        case "shared samples" test_montecarlo_shared ] ) ]
+        case "shared samples" test_montecarlo_shared;
+        case "rows = testbench evaluate, bitwise"
+          test_montecarlo_rows_are_evaluations;
+        case "clean run: no drops, cost model, validation"
+          test_montecarlo_clean_run;
+        case "fresh per call, replayable per seed"
+          test_montecarlo_fresh_and_replayable;
+        case "lhs: one sample per stratum" test_montecarlo_lhs ] ) ]
