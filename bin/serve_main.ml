@@ -262,9 +262,13 @@ let fail what msg =
 (* One connection for one command.  A server that cannot be reached is
    a lost connection like any other: the typed message and exit 1. *)
 let with_client ~what addr f =
-  match Client.with_failover ~attempts:1 [ addr ] (fun c -> Ok (f c)) with
-  | Ok () -> ()
-  | Error failure -> fail what (Client.failure_to_string failure)
+  match Client.connect addr with
+  | exception Unix.Unix_error (e, fn, _) ->
+      fail what
+        (Client.failure_to_string
+           (Client.Connection_lost
+              (Printf.sprintf "%s: %s" fn (Unix.error_message e))))
+  | c -> Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
 
 let shard_base ~socket =
   match socket with

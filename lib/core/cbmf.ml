@@ -92,9 +92,11 @@ let fit ?(config = default_config) ?init_hypers (d : Dataset.t) =
   in
   (* On standardized data the response has unit pooled variance, so the
      initializer's held-out relative error is directly an estimate of
-     the noise floor in σ0 units.  Flooring σ0 there keeps the EM from
+     the noise floor in σ0 units.  The floor binds only when
+     [update_sigma0] is set: it then keeps eq. 31's σ0 update from
      collapsing into interpolation when the effective parameter count
-     (θ·K under a strong R) exceeds N·K. *)
+     (θ·K under a strong R) exceeds N·K.  By default EM keeps the
+     initializer's cross-validated σ0 and never reads the floor. *)
   let em_config =
     {
       config.em with

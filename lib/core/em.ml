@@ -169,9 +169,9 @@ let m_step ?(damp = 1.0) cfg (d : Dataset.t) (prior : Prior.t)
   end
   else Prior.create ~lambda:lambda' ~r:r' ~sigma0:sigma0'
 
-let run ?(config = default_config) ?posterior ?diag ?init_hypers
-    (d : Dataset.t) prior0 =
-  let diag = match diag with Some dg -> dg | None -> Diag.create () in
+let run ?(config = default_config) ?posterior ?init_hypers (d : Dataset.t)
+    prior0 =
+  let diag = Diag.create () in
   (* Warm start: a previous run's hyper-parameters replace [prior0] as
      the EM iterate — the streaming loop's resync entry, where the
      initializer's grid search would be both wasted work and a

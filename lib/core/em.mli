@@ -37,6 +37,9 @@ type config = {
           initializer's held-out error. *)
   r_ridge : float;  (** diagonal added to R after each update *)
   min_sigma0 : float;
+      (** floor on eq. 31's σ0 update, read only when [update_sigma0]
+          is true (default 1e-4; {!Cbmf.fit} raises it to 0.9× the
+          initializer's held-out error) *)
   min_active : int;  (** never prune below this many basis functions *)
   max_recoveries : int;
       (** budget of recovery actions (posterior fallbacks, M-step
@@ -73,7 +76,6 @@ val run :
   ?config:config ->
   ?posterior:
     (?need_sigma:bool -> Dataset.t -> Prior.t -> active:int array -> Posterior.t) ->
-  ?diag:Cbmf_robust.Diag.t ->
   ?init_hypers:Prior.t ->
   Dataset.t ->
   Prior.t ->
@@ -97,7 +99,8 @@ val run :
     skip the update instead of crashing; a relative NLML increase
     beyond [divergence_tol] triggers a rollback to the last-good
     hyper-parameters with step damping.  All recoveries are recorded in
-    [diag] (also installed as the ambient {!Cbmf_robust.Diag} recorder
-    for the duration of the run, so deeper layers such as
-    {!Cbmf_linalg.Chol.factorize_with_retry} report into it).  A
-    fault-free run is bit-identical to the unguarded loop. *)
+    a fresh recorder, returned as [trace.diag] (and installed as the
+    ambient {!Cbmf_robust.Diag} recorder for the duration of the run,
+    so deeper layers such as {!Cbmf_linalg.Chol.factorize_with_retry}
+    report into it).  A fault-free run is bit-identical to the
+    unguarded loop. *)

@@ -65,16 +65,15 @@ type t = {
 
 (* Reusable per-EM-iteration buffers.  [Em.run] threads one workspace
    through every posterior solve so the large allocations (the NK×NK
-   Gram assembly, the flat response, the NK×aK stacked solve) happen
-   once and are reused: per-iteration allocation churn drops to ~zero
-   after the first iteration.  The buffers are invisible outside a
-   [compute] call — everything the returned record (including its
-   [predictive] closure) holds is freshly allocated or owned by the
-   Cholesky factor. *)
+   Gram assembly, the flat response) happen once and are reused:
+   per-iteration allocation churn drops to ~zero after the first
+   iteration.  The buffers are invisible outside a [compute] call —
+   everything the returned record (including its [predictive]
+   closure) holds is freshly allocated or owned by the Cholesky
+   factor. *)
 type workspace = {
   g_buf : float array ref;  (* NK·NK Gram assembly *)
   y_buf : float array ref;  (* NK flat response *)
-  u_buf : float array ref;  (* NK·aK stacked design / TRSM solution *)
   arena : Cbmf_parallel.Arena.t;
       (* per-worker scratch for the state-pair fan-outs: each pool slot
          reuses its own pair-product / accumulator / block buffers
@@ -95,13 +94,11 @@ let make_workspace () =
   {
     g_buf = ref [||];
     y_buf = ref [||];
-    u_buf = ref [||];
     arena = Cbmf_parallel.Arena.create ();
   }
 
-(* Exact-size reuse: the NK-sized buffers keep their array across EM
-   iterations (NK is fixed); the aK-sized ones reallocate only when
-   pruning shrinks the active set. *)
+(* Exact-size reuse: NK is fixed across EM iterations, so the buffers
+   keep their arrays. *)
 let grab buf len =
   let arr = if Array.length !buf = len then !buf else Array.make len 0.0 in
   Array.fill arr 0 len 0.0;
@@ -226,107 +223,54 @@ let compute_dual ~need_sigma ws (d : Dataset.t) (prior : Prior.t) ~active
   let sigma_blocks, trace_ginv =
     if not need_sigma then ([||], 0.0)
     else begin
-      (* W_j[k1,k2] = B_{k1}[:,j]ᵀ · Ginv_blk(k1,k2) · B_{k2}[:,j].
-         Two exact routes, picked by the stacked-RHS width aK:
-
-         - aK ≤ NK — never form G⁻¹: with U the NK×aK block-diagonal
-           stack of the active designs and X = L⁻¹U (one multi-RHS
-           TRSM, O((NK)²·aK)), W_j[k1,k2] is the dot of columns
-           (k1,j) and (k2,j) of X.
-         - aK > NK (the EM warm-up, where every λ is live) — the TRSM
-           would cost O((NK)²·aK) ≫ O((NK)³), so instead materialize
-           G⁻¹ = L⁻ᵀ·L⁻¹ once with blocked kernels (triangular
-           inversion, then a SYRK that skips the rows' zero prefixes:
-           (NK)³/6 each) and contract each state-pair block through
-           a blocked GEMM, O((NK)³/3 + (NK)²·a) total. *)
-      let ak = a * k in
+      (* W_j[k1,k2] = B_{k1}[:,j]ᵀ · Ginv_blk(k1,k2) · B_{k2}[:,j]:
+         materialize G⁻¹ = L⁻ᵀ·L⁻¹ once with blocked kernels
+         (triangular inversion, then a SYRK that skips the rows' zero
+         prefixes: (NK)³/6 each) and contract each state-pair block
+         through a blocked GEMM, O((NK)³/3 + (NK)²·a) total.  [`Auto]
+         takes the dual path when aK ≥ NK (the EM warm-up, where every
+         λ is live) or an active λ is zero.  [Em]'s forced-dual
+         fallback hop also lands here at aK < NK, where it pays
+         (NK)³/3 multiply-adds instead of the (NK)²·aK/2 of a
+         triangular solve against the stacked active designs: at
+         lna-fit's NK = 480 and a = 10 both are ≈ 3.7·10⁷. *)
       let comp = r_components prior.Prior.r in
       let w = Array.init a (fun _ -> Mat.create k k) in
       let pool = Cbmf_parallel.Pool.default () in
-      let trace_ginv =
-        if ak <= nk then begin
-          let trace_ginv = Chol.trace_inverse chol in
-          let ubuf = grab ws.u_buf (nk * ak) in
-          for s = 0 to k - 1 do
-            let bm = b_act.(s) in
+      let linv_t = Chol.lower_inverse_t chol in
+      (* Tr(G⁻¹) = ‖L⁻¹‖_F² comes free from the same factor. *)
+      let trace_ginv = Vec.norm2_sq linv_t.Mat.data in
+      let ginv = Mat.syrk_nt linv_t in
+      Cbmf_parallel.Pool.parallel_for pool ~n:(Array.length pairs)
+        (fun pair_i ->
+          let k1, k2 = pairs.(pair_i) in
+          if comp.(k1) = comp.(k2) then begin
+            let gblk =
+              Mat.unsafe_of_flat ~rows:n ~cols:n
+                (Cbmf_parallel.Arena.grab ws.arena id_pair_gblk (n * n))
+            in
+            Mat.submatrix_into ginv ~row0:(k1 * n) ~col0:(k2 * n) ~dst:gblk;
+            let z =
+              Mat.unsafe_of_flat ~rows:n ~cols:a
+                (Cbmf_parallel.Arena.grab ws.arena id_pair_z (n * a))
+            in
+            Mat.matmul_into gblk b_act.(k2) ~dst:z;
+            let b1 = b_act.(k1).Mat.data and zd = z.Mat.data in
+            let acc = Cbmf_parallel.Arena.grab_zeroed ws.arena id_pair_acc a in
             for i = 0 to n - 1 do
-              let urow = ((s * n) + i) * ak in
-              let brow = i * a in
+              let row = i * a in
               for j = 0 to a - 1 do
-                ubuf.(urow + (s * a) + j) <- bm.Mat.data.(brow + j)
+                acc.(j) <-
+                  acc.(j)
+                  +. (Array.unsafe_get b1 (row + j)
+                     *. Array.unsafe_get zd (row + j))
               done
+            done;
+            for j = 0 to a - 1 do
+              Mat.set w.(j) k1 k2 acc.(j);
+              if k1 <> k2 then Mat.set w.(j) k2 k1 acc.(j)
             done
-          done;
-          let x = Mat.unsafe_of_flat ~rows:nk ~cols:ak ubuf in
-          Chol.solve_lower_mat_inplace chol x;
-          Cbmf_parallel.Pool.parallel_for pool ~n:(Array.length pairs)
-            (fun pair_i ->
-              let k1, k2 = pairs.(pair_i) in
-              if comp.(k1) = comp.(k2) then begin
-                let acc =
-                  Cbmf_parallel.Arena.grab_zeroed ws.arena id_pair_acc a
-                in
-                (* Column (s,j) of X is supported on rows ≥ s·N (the
-                   TRSM starts at the stack's first nonzero row), so
-                   the dot runs from row k2·N. *)
-                let c1 = k1 * a and c2 = k2 * a in
-                for i = k2 * n to nk - 1 do
-                  let xrow = i * ak in
-                  for j = 0 to a - 1 do
-                    acc.(j) <-
-                      acc.(j)
-                      +. (Array.unsafe_get ubuf (xrow + c1 + j)
-                         *. Array.unsafe_get ubuf (xrow + c2 + j))
-                  done
-                done;
-                for j = 0 to a - 1 do
-                  Mat.set w.(j) k1 k2 acc.(j);
-                  if k1 <> k2 then Mat.set w.(j) k2 k1 acc.(j)
-                done
-              end);
-          trace_ginv
-        end
-        else begin
-          let linv_t = Chol.lower_inverse_t chol in
-          (* Tr(G⁻¹) = ‖L⁻¹‖_F² comes free from the same factor. *)
-          let trace_ginv = Vec.norm2_sq linv_t.Mat.data in
-          let ginv = Mat.syrk_nt linv_t in
-          Cbmf_parallel.Pool.parallel_for pool ~n:(Array.length pairs)
-            (fun pair_i ->
-              let k1, k2 = pairs.(pair_i) in
-              if comp.(k1) = comp.(k2) then begin
-                let gblk =
-                  Mat.unsafe_of_flat ~rows:n ~cols:n
-                    (Cbmf_parallel.Arena.grab ws.arena id_pair_gblk (n * n))
-                in
-                Mat.submatrix_into ginv ~row0:(k1 * n) ~col0:(k2 * n)
-                  ~dst:gblk;
-                let z =
-                  Mat.unsafe_of_flat ~rows:n ~cols:a
-                    (Cbmf_parallel.Arena.grab ws.arena id_pair_z (n * a))
-                in
-                Mat.matmul_into gblk b_act.(k2) ~dst:z;
-                let b1 = b_act.(k1).Mat.data and zd = z.Mat.data in
-                let acc =
-                  Cbmf_parallel.Arena.grab_zeroed ws.arena id_pair_acc a
-                in
-                for i = 0 to n - 1 do
-                  let row = i * a in
-                  for j = 0 to a - 1 do
-                    acc.(j) <-
-                      acc.(j)
-                      +. (Array.unsafe_get b1 (row + j)
-                         *. Array.unsafe_get zd (row + j))
-                  done
-                done;
-                for j = 0 to a - 1 do
-                  Mat.set w.(j) k1 k2 acc.(j);
-                  if k1 <> k2 then Mat.set w.(j) k2 k1 acc.(j)
-                done
-              end);
-          trace_ginv
-        end
-      in
+          end);
       let blocks =
         Array.mapi
           (fun j col ->

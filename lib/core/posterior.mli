@@ -52,11 +52,11 @@ type t = {
 
 type workspace
 (** Reusable buffers for the large per-solve allocations (NK×NK Gram
-    assembly, flat response, NK×aK stacked TRSM).  Thread one
-    workspace through repeated [compute] calls (as {!Em.run} does) and
-    the allocation churn drops to ~zero after the first call.  Nothing
-    in the returned {!t} aliases the workspace, so earlier results stay
-    valid when it is reused. *)
+    assembly, flat response).  Thread one workspace through repeated
+    [compute] calls (as {!Em.run} does) and the allocation churn drops
+    to ~zero after the first call.  Nothing in the returned {!t}
+    aliases the workspace, so earlier results stay valid when it is
+    reused. *)
 
 val make_workspace : unit -> workspace
 
@@ -75,9 +75,12 @@ val compute :
     extraction.  [path] (default [`Auto]) selects the solver: [`Auto]
     takes the primal (Woodbury) path when aK < NK and every active λ
     is strictly positive, the dual path otherwise; forcing [`Primal]
-    requires every active λ > 0.  Both paths agree with {!naive_dense}
-    to solver precision.  [ws] supplies reusable buffers (see
-    {!workspace}). *)
+    requires every active λ > 0.  The dual path's Σ blocks go through
+    an explicit G⁻¹, (NK)³/3 multiply-adds at any aK, so a forced
+    [`Dual] at aK < NK (the EM fallback hop) pays that where a
+    triangular solve against the stacked active designs would pay at
+    most (NK)²·aK/2.  Both paths agree with {!naive_dense} to solver
+    precision.  [ws] supplies reusable buffers (see {!workspace}). *)
 
 val coefficients : t -> Mat.t
 (** K×M coefficient matrix (the MAP solution of eq. 22, transposed

@@ -440,10 +440,6 @@ let lower_inverse_t f =
     ~item_cost_ns:pair_flops ~items body;
   out
 
-(* Tr(a⁻¹) = ‖l⁻¹‖_F²: the same sum of squares, row by row, that the
-   solve for each e_i accumulates. *)
-let trace_inverse f = Vec.norm2_sq (lower_inverse_t f).Mat.data
-
 let mahalanobis_sq f x mu = quad_inv f (Vec.sub x mu)
 
 let sample_transform f z =

@@ -81,10 +81,6 @@ val det : t -> float
 val quad_inv : t -> Vec.t -> float
 (** [quad_inv f b] is [bᵀ a⁻¹ b], computed stably via {!solve_lower}. *)
 
-val trace_inverse : t -> float
-(** [Tr(a⁻¹) = ‖l⁻¹‖_F²], the sum of squares of {!lower_inverse_t}
-    in row order, O(n³/6). *)
-
 val lower_inverse_t : t -> Mat.t
 (** [(l⁻¹)ᵀ] as a dense matrix: row [u] holds [l⁻¹·e_u] (supported on
     columns ≥ u, exact [+0] below), computed in O(n³/6).  Selected

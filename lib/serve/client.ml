@@ -1,5 +1,3 @@
-open Cbmf_prob
-
 type failure =
   | Connection_lost of string
   | Overloaded of { queue_depth : int; retry_after_ms : int }
@@ -55,10 +53,6 @@ let failure_to_string = function
   | Server_error { code; message } ->
       Printf.sprintf "%s: %s" (Protocol.error_code_name code) message
   | Unexpected msg -> Printf.sprintf "unexpected reply: %s" msg
-
-let retryable = function
-  | Connection_lost _ | Overloaded _ -> true
-  | Server_error _ | Unexpected _ -> false
 
 (* The one place a transport exception becomes a typed failure: a
    hangup, a torn reply frame, a socket timeout and a refused connect
@@ -187,44 +181,3 @@ let stats t =
 (* The server may hang up before its reply lands; it is going down
    either way. *)
 let shutdown t = ignore (call t Protocol.Shutdown)
-
-(* --- Failover --------------------------------------------------------- *)
-
-let with_failover ?(attempts = 6) ?(base_backoff = 0.01) ?(max_backoff = 0.25)
-    ?(seed = 0L) ?(timeout = 10.0) addrs f =
-  match addrs with
-  | [] -> invalid_arg "Client.with_failover: no replicas"
-  | _ ->
-      let replicas = Array.of_list addrs in
-      let n = Array.length replicas in
-      let attempts = max 1 attempts in
-      let rec go i =
-        let addr = replicas.(i mod n) in
-        let outcome =
-          match connect ~timeout addr with
-          | exception (Unix.Unix_error _ as e) -> Error (connection_lost e)
-          | c -> Fun.protect ~finally:(fun () -> close c) (fun () -> f c)
-        in
-        match outcome with
-        | Ok _ as ok -> ok
-        | Error failure when retryable failure && i + 1 < attempts ->
-            (* Capped exponential backoff with deterministic jitter:
-               the multiplier in [0.5, 1.5) is a pure function of
-               (seed, attempt index), so a replayed run sleeps the
-               same schedule.  An [Overloaded] retry hint floors the
-               delay — the server told us when it wants us back. *)
-            let expo = base_backoff *. (2.0 ** float_of_int i) in
-            let capped = Float.min max_backoff expo in
-            let floor_s =
-              match failure with
-              | Overloaded { retry_after_ms; _ } ->
-                  float_of_int retry_after_ms /. 1000.0
-              | _ -> 0.0
-            in
-            let r = Rng.derive seed ~index:i in
-            let delay = Float.max floor_s (capped *. (0.5 +. Rng.float r)) in
-            Thread.delay delay;
-            go (i + 1)
-        | Error _ as e -> e
-      in
-      go 0

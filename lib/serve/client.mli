@@ -24,26 +24,26 @@ val close : t -> unit
 
 (** {1 Typed failures}
 
-    Split by what a caller may do about them: {!retryable} failures
-    ([Connection_lost], [Overloaded]) are safe to retry on another
-    replica for idempotent requests; the rest are answers, not
-    outages. *)
+    Split by what happens to the connection: [Connection_lost] and
+    [Overloaded] end it and leave the client {!broken}, so the next
+    request needs a fresh dial ({!Shard.client_for} redials on its
+    next call); [Server_error] and [Unexpected] are answers on a
+    connection that stays up.  Nothing retries on its own, and a
+    server that died stays down. *)
 
 type failure =
   | Connection_lost of string
       (** The stream is gone: hangup, torn reply frame, socket timeout
-          or refused connect.  Retryable against another replica. *)
+          or refused connect. *)
   | Overloaded of { queue_depth : int; retry_after_ms : int }
-      (** Admission control shed the connection; retry after the
-          hint. *)
+      (** Admission control shed the connection; a fresh connection
+          may try again after the hint. *)
   | Server_error of { code : Protocol.error_code; message : string }
       (** A typed error reply — the server is healthy and said no. *)
-  | Unexpected of string  (** Protocol violation; not retryable. *)
+  | Unexpected of string
+      (** Protocol violation: the reply was of the wrong kind. *)
 
 val failure_to_string : failure -> string
-
-val retryable : failure -> bool
-(** [true] exactly for [Connection_lost] and [Overloaded]. *)
 
 val broken : t -> bool
 (** [true] once the client lost its stream, was shed or was closed.
@@ -116,26 +116,3 @@ val stats : t -> (string, string) result
 val shutdown : t -> unit
 (** Fire the shutdown request; tolerates the server hanging up before
     the reply lands. *)
-
-val with_failover :
-  ?attempts:int ->
-  ?base_backoff:float ->
-  ?max_backoff:float ->
-  ?seed:int64 ->
-  ?timeout:float ->
-  Unix.sockaddr list ->
-  (t -> ('a, failure) result) ->
-  ('a, failure) result
-(** [with_failover addrs f] connects to replicas round-robin and runs
-    [f] (which should issue {e idempotent} requests — predicts, pings)
-    until it succeeds, a non-retryable failure is returned, or
-    [attempts] (default 6) tries are exhausted.  Between retries it
-    sleeps a capped exponential backoff ([base_backoff] 10 ms doubling
-    up to [max_backoff] 250 ms) with deterministic jitter in
-    [0.5, 1.5)× derived from [(seed, attempt)] via
-    {!Cbmf_prob.Rng.derive} — replays sleep the same schedule.  An
-    [Overloaded] hint floors the next delay at its [retry_after_ms].
-    Each attempt uses a fresh connection, closed before returning; a
-    refused connect is a [Connection_lost].  With [~attempts:1] this
-    is the connect-call-close liveness probe.  Raises
-    [Invalid_argument] on an empty replica list. *)

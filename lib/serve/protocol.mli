@@ -69,7 +69,7 @@ type reply =
   | Reloaded of { generation : int; n_active : int; n_states : int; bytes : int }
   | Overloaded of { queue_depth : int; retry_after_ms : int }
       (** admission control shed this connection before any request
-          was read; retry against another replica or after
+          was read; a fresh connection may try again after
           [retry_after_ms] *)
   | Error of { code : error_code; message : string }
 

@@ -5,9 +5,9 @@
    value or its reload generation — so a hot reload (which swaps the
    slot's model and bumps generations) keeps routing to the same
    shard, and every client computes the same placement from nothing
-   but (shard count, vnode count, name).
+   but (shard count, name).
 
-   The ring holds [vnodes] virtual points per shard (FNV-64 of
+   The ring holds [vnodes] = 64 virtual points per shard (FNV-64 of
    "shard-<i>/<v>", passed through a 64-bit finalizer); a name lands
    on the first point clockwise from its own hash.  The finalizer
    matters: FNV-1a diffuses a changed byte {e upward} only, so short
@@ -41,9 +41,10 @@ let mix h =
 
 let hash s = mix (Codec.fnv64 s)
 
-let ring ?(vnodes = 64) shards =
+let vnodes = 64
+
+let ring shards =
   if shards < 1 then invalid_arg "Shard.ring: shard count must be >= 1";
-  if vnodes < 1 then invalid_arg "Shard.ring: vnodes must be >= 1";
   let pts =
     Array.init (shards * vnodes) (fun i ->
         let shard = i / vnodes and v = i mod vnodes in
@@ -88,8 +89,8 @@ type router = {
   r_lock : Mutex.t;
 }
 
-let router ?vnodes connect ~shards =
-  let r_ring = ring ?vnodes shards in
+let router connect ~shards =
+  let r_ring = ring shards in
   { r_ring; connect; conns = Array.make shards None; r_lock = Mutex.create () }
 
 let route t ~name = place t.r_ring name
@@ -127,7 +128,6 @@ type cluster = {
   c_addrs : Unix.sockaddr array;
   c_pids : int array;
   c_paths : string array;
-  vnodes : int option;
   mutable stopped : bool;
 }
 
@@ -135,8 +135,7 @@ let shard_path ~base_path i = Printf.sprintf "%s.shard-%d" base_path i
 
 let shard_addr ~base_path i = Unix.ADDR_UNIX (shard_path ~base_path i)
 
-let start ?(config = Server.default_config) ?max_bytes ?vnodes ~shards
-    ~base_path () =
+let start ?(config = Server.default_config) ?max_bytes ~shards ~base_path () =
   if shards < 1 then invalid_arg "Shard.start: shard count must be >= 1";
   let paths = Array.init shards (shard_path ~base_path) in
   let addrs = Array.map (fun p -> Unix.ADDR_UNIX p) paths in
@@ -157,20 +156,26 @@ let start ?(config = Server.default_config) ?max_bytes ?vnodes ~shards
         | pid -> pid)
       addrs
   in
-  { c_addrs = addrs; c_pids = pids; c_paths = paths; vnodes; stopped = false }
+  { c_addrs = addrs; c_pids = pids; c_paths = paths; stopped = false }
 
 let addrs c = c.c_addrs
 
 (* Block until every shard answers a ping (socket file present AND the
    server behind it is accepting).  Gives forked children time to
-   bind; raises [Failure] past [timeout]. *)
+   bind: each probe is a fresh connect-ping-close, and a refused
+   connect counts as not ready yet.  Raises [Failure] past
+   [timeout]. *)
 let wait_ready ?(timeout = 10.0) c =
   let cutoff = Unix.gettimeofday () +. timeout in
   Array.iter
     (fun addr ->
       while
-        Result.is_error
-          (Client.with_failover ~attempts:1 ~timeout:1.0 [ addr ] Client.ping)
+        match Client.connect ~timeout:1.0 addr with
+        | exception Unix.Unix_error _ -> true
+        | cl ->
+            Fun.protect
+              ~finally:(fun () -> Client.close cl)
+              (fun () -> Result.is_error (Client.ping cl))
       do
         if Unix.gettimeofday () >= cutoff then
           failwith "Shard.wait_ready: shard did not come up";
@@ -179,9 +184,8 @@ let wait_ready ?(timeout = 10.0) c =
     c.c_addrs
 
 let connect ?timeout c =
-  router ?vnodes:c.vnodes
-    ~shards:(Array.length c.c_addrs)
-    (fun i -> Client.connect ?timeout c.c_addrs.(i))
+  router ~shards:(Array.length c.c_addrs) (fun i ->
+      Client.connect ?timeout c.c_addrs.(i))
 
 let stop ?(timeout = 5.0) c =
   if not c.stopped then begin

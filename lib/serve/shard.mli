@@ -4,10 +4,10 @@
     {b Placement} is a pure function of the model {e name} — never the
     model value or its reload generation — so a hot reload keeps
     routing to the same shard, and every client derives the same
-    placement from nothing but (shard count, vnode count, name).  The
-    ring carries [vnodes] virtual points per shard; changing the shard
-    count N → N+1 moves only ~1/(N+1) of the namespace, where a
-    [hash mod N] scheme would move almost all of it.
+    placement from nothing but (shard count, name).  The ring carries
+    64 virtual points per shard; changing the shard count N → N+1
+    moves only ~1/(N+1) of the namespace, where a [hash mod N] scheme
+    would move almost all of it.
 
     Three layers, composable independently:
     - {!ring}/{!place} — the bare placement function;
@@ -26,10 +26,9 @@
 
 type ring
 
-val ring : ?vnodes:int -> int -> ring
-(** [ring n] places over shards [0 .. n-1]; [vnodes] (default 64)
-    virtual points per shard.  Raises [Invalid_argument] when either
-    is below 1. *)
+val ring : int -> ring
+(** [ring n] places over shards [0 .. n-1], 64 virtual points per
+    shard.  Raises [Invalid_argument] when [n] is below 1. *)
 
 val shards : ring -> int
 
@@ -42,7 +41,7 @@ val place : ring -> string -> int
 
 type router
 
-val router : ?vnodes:int -> (int -> Client.t) -> shards:int -> router
+val router : (int -> Client.t) -> shards:int -> router
 (** [router connect ~shards] dials shard [i] with [connect i] on first
     use and caches the connection.  Not itself thread-safe beyond
     connection caching — share like a {!Client.t}. *)
@@ -72,7 +71,6 @@ val shard_addr : base_path:string -> int -> Unix.sockaddr
 val start :
   ?config:Server.config ->
   ?max_bytes:int ->
-  ?vnodes:int ->
   shards:int ->
   base_path:string ->
   unit ->

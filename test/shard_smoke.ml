@@ -9,8 +9,11 @@
    routed predicts are bit-identical to the local engine, pipelined
    [predict_many] agrees slot for slot, a hot reload bumps the slot
    generation without moving the model, and a graceful stop reaps
-   every child and removes the socket files.  Exits nonzero on any
-   failure.
+   every child and removes the socket files.  Then the failure path:
+   a 1-shard cluster whose socket directory does not exist, so the
+   child's bind fails — [wait_ready] must raise [Failure] at its
+   timeout and [stop] must still reap the child.  Exits nonzero on
+   any failure.
 
    CBMF_DOMAINS=1 is load-bearing: the parent must not have spawned
    pool domains when [Shard.start] forks (fork clones only the calling
@@ -231,6 +234,26 @@ let () =
   done;
   check "socket files removed on stop" (not !leftover);
 
+  (* A shard that never comes up: its socket directory does not exist,
+     so the child's bind fails and it exits.  [wait_ready] gives up
+     with [Failure] at its timeout, and [stop] still reaps the child,
+     the only one left. *)
+  let dead =
+    Shard.start ~shards:1
+      ~base_path:(Filename.concat (Filename.concat dir "missing") "dead.sock")
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  (match Shard.wait_ready ~timeout:0.5 dead with
+  | () -> check "wait_ready on a shard that cannot bind raises Failure" false
+  | exception Failure _ ->
+      check "wait_ready gave up within 2 s" (Unix.gettimeofday () -. t0 < 2.0));
+  Shard.stop dead;
+  check "stop reaped the dead shard's child"
+    (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+    | _ -> false
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true);
+
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());
   if !failures > 0 then begin
     Printf.eprintf "shard-smoke: %d failure(s)\n%!" !failures;
@@ -238,4 +261,5 @@ let () =
   end;
   print_endline
     "shard-smoke: 3-shard cluster served routed predicts bit-identically; \
-     reload stayed on its owner; graceful stop reaped every child"
+     reload stayed on its owner; graceful stop reaped every child; a \
+     shard that could not bind failed wait_ready and was reaped"

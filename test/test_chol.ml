@@ -70,11 +70,15 @@ let test_lower_inverse_t () =
   (* Rows of linv_t are the columns of l⁻¹: l·(linv_t)ᵀ = I. *)
   mat_close ~tol:1e-8 "l·(linv_t)ᵀ = I" (Mat.identity 7)
     (Mat.matmul_nt l linv_t);
-  (* a⁻¹ = (linv_t)·(linv_t)ᵀ, and ‖linv_t‖_F² = Tr(a⁻¹). *)
+  (* a⁻¹ = (linv_t)·(linv_t)ᵀ, and ‖linv_t‖_F² = Tr(a⁻¹): the
+     posterior's Tr(G⁻¹) is this sum of squares. *)
   mat_close ~tol:1e-8 "linv_t·linv_tᵀ = a⁻¹" (Chol.inverse f)
     (Mat.syrk_nt linv_t);
-  check_float ~tol:1e-8 "frobenius² = trace_inverse" (Chol.trace_inverse f)
-    (Mat.frobenius linv_t ** 2.0)
+  let sum_sq = Vec.norm2_sq linv_t.Mat.data in
+  check_float ~tol:1e-8 "frobenius² = sum of squares"
+    (Mat.frobenius linv_t ** 2.0) sum_sq;
+  check_float ~tol:1e-8 "sum of squares = Tr(a⁻¹)"
+    (Mat.trace (Chol.inverse f)) sum_sq
 
 let test_inverse () =
   let a = random_spd 5 in
@@ -94,13 +98,6 @@ let test_quad_inv () =
   check_float ~tol:1e-8 "quad_inv = bᵀa⁻¹b"
     (Vec.dot b (Chol.solve_vec f b))
     (Chol.quad_inv f b)
-
-let test_trace_inverse () =
-  let a = random_spd 7 in
-  let f = Chol.factorize a in
-  check_float ~tol:1e-8 "trace_inverse"
-    (Mat.trace (Chol.inverse f))
-    (Chol.trace_inverse f)
 
 let test_not_pd () =
   let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 2.0; 1.0 |] |] in
@@ -444,8 +441,10 @@ let test_retry_matches_reference () =
         = [| Cbmf_robust.Fault.Not_pd
                { site = "chol.factorize"; dim = n; tries = 2 } |]))
 
-(* Pinned bits of Tr(a⁻¹) on seeded inputs: the trace must not move
-   when the kernel under it does. *)
+(* Pinned bits of Tr(a⁻¹) = ‖l⁻¹‖_F², summed over
+   [Chol.lower_inverse_t] as the posterior's dual path sums it, on
+   seeded inputs: the trace must not move when the kernel under it
+   does. *)
 let test_trace_inverse_pinned () =
   at_domains (fun d ->
       List.iter
@@ -454,7 +453,9 @@ let test_trace_inverse_pinned () =
           check_true
             (Printf.sprintf "n=%d, %d domain(s)" n d)
             (Int64.equal bits
-               (Int64.bits_of_float (Chol.trace_inverse (Chol.factorize a)))))
+               (Int64.bits_of_float
+                  (Vec.norm2_sq
+                     (Chol.lower_inverse_t (Chol.factorize a)).Mat.data))))
         [ (1, 4609329916078788018L); (7, 4607928676309687605L);
           (33, 4606967526684275894L); (200, 4607115720191022839L) ])
 
@@ -469,7 +470,6 @@ let suite =
         case "lower_inverse_t" test_lower_inverse_t;
         case "logdet/det" test_logdet;
         case "quad_inv" test_quad_inv;
-        case "trace_inverse" test_trace_inverse;
         case "non-PD detection" test_not_pd;
         case "rank1 update" test_rank1_update;
         case "rank1 sequence" test_rank1_sequence;

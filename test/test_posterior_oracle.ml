@@ -106,6 +106,34 @@ let prop_active_subset_matches (k, n, m, seed) =
        (Int64.bits_of_float p1.Cbmf_core.Posterior.nlml)
        (Int64.bits_of_float p4.Cbmf_core.Posterior.nlml)
 
+(* A forced [`Dual] solve at aK < NK — [Em]'s fallback hop after a
+   failed primal solve — runs the explicit-G⁻¹ route like the warm-up;
+   its Σ-blocks and Tr(G⁻¹) must not depend on the pool size. *)
+let prop_forced_dual_thin_bit_identical (k, n, m, seed) =
+  let d, prior = build_case ~k ~n ~m ~seed in
+  let a = min m (n - 1) in
+  let active = Array.init a (fun i -> i * m / a) in
+  let solve size =
+    Pool.set_default_size size;
+    Cbmf_core.Posterior.compute ~need_sigma:true ~path:`Dual d prior ~active
+  in
+  let p1 = solve 1 in
+  let p4 = solve 4 in
+  Pool.set_default_size (Pool.env_domains ());
+  let bits x = Int64.bits_of_float x in
+  a * k < n * k
+  && p1.Cbmf_core.Posterior.path = `Dual
+  && p4.Cbmf_core.Posterior.path = `Dual
+  && p1.Cbmf_core.Posterior.mu.Mat.data = p4.Cbmf_core.Posterior.mu.Mat.data
+  && Int64.equal (bits p1.Cbmf_core.Posterior.nlml)
+       (bits p4.Cbmf_core.Posterior.nlml)
+  && Int64.equal (bits p1.Cbmf_core.Posterior.trace_ginv)
+       (bits p4.Cbmf_core.Posterior.trace_ginv)
+  && Array.for_all2
+       (fun (c1, (b1 : Mat.t)) (c4, (b4 : Mat.t)) ->
+         c1 = c4 && b1.Mat.data = b4.Mat.data)
+       p1.Cbmf_core.Posterior.sigma_blocks p4.Cbmf_core.Posterior.sigma_blocks
+
 (* [need_sigma:false] must agree exactly with the full path on
    everything it claims to compute (μ, NLML, residual), return no
    Σ-blocks and a zero trace — on whichever solver path [`Auto]
@@ -221,6 +249,8 @@ let suite =
           prop_bit_identical_across_domains;
         qcase ~count:15 "sparse active set, 1 vs 4 domains" gen_case
           prop_active_subset_matches;
+        qcase ~count:15 "forced Dual at aK < NK: bit-identical at 1 vs 4 domains"
+          gen_case prop_forced_dual_thin_bit_identical;
         qcase ~count:25 "need_sigma:false = full path (mu, NLML, resid)"
           gen_case prop_need_sigma_false_parity;
         qcase ~count:25 "predictive (mean, var) = dense Sigma_p @ 1e-8"

@@ -1062,7 +1062,7 @@ let test_loopback_reload () =
       Client.shutdown c)
 
 let test_client_connection_lost () =
-  (* Every transport death folds into the typed retryable constructor —
+  (* Every transport death folds into the typed [Connection_lost] —
      never a raw exception out of the _typed entry points. *)
   let xs = Mat.create 1 4 in
   (* Peer closed before the request: the write or the reply read dies. *)
@@ -1091,15 +1091,7 @@ let test_client_connection_lost () =
   | Error f -> Alcotest.failf "expected Connection_lost, got %s"
       (Client.failure_to_string f));
   Thread.join th;
-  Client.close c;
-  check_true "retryable taxonomy"
-    (Client.retryable (Client.Connection_lost "x")
-    && Client.retryable (Client.Overloaded { queue_depth = 1; retry_after_ms = 1 })
-    && (not
-          (Client.retryable
-             (Client.Server_error
-                { code = Protocol.Model_not_found; message = "" })))
-    && not (Client.retryable (Client.Unexpected "x")))
+  Client.close c
 
 let test_client_stale_reply () =
   (* A fake server answers the first request only after the client's
@@ -1141,7 +1133,7 @@ let test_client_stale_reply () =
   Client.close c;
   Thread.join th
 
-(* --- Full server: admission control, drain, failover ------------------ *)
+(* --- Full server: admission control and drain ------------------------- *)
 
 let with_server_dir f =
   with_temp_dir (fun dir -> f dir)
@@ -1274,118 +1266,6 @@ let test_server_drain_cutoff () =
       | exception Codec.Corrupt _ -> ()
       | exception Unix.Unix_error _ -> ());
       Unix.close fd)
-
-let test_with_failover () =
-  let m = synth_model ~dim:5 ~k:3 ~a:8 () in
-  with_server_dir (fun dir ->
-      let srv = start_server ~dir ~name:"m" m in
-      let live = Server.addr srv in
-      let dead = Unix.ADDR_UNIX (Filename.concat dir "nobody-home.sock") in
-      let n = 7 in
-      let xs = Mat.init n m.Model.input_dim (fun _ _ -> g ()) in
-      let states = Array.init n (fun i -> i mod m.Model.n_states) in
-      let lm, ls = Engine.predict_batch m ~states ~xs in
-      (* First replica dead: failover lands on the second. *)
-      (match
-         Client.with_failover ~base_backoff:0.001 [ dead; live ] (fun c ->
-             Client.predict_typed c ~name:"m" ~states ~xs)
-       with
-      | Ok (rm, rs) ->
-          check_true "failover answer bit-identical" (bits_eq lm rm && bits_eq ls rs)
-      | Error f -> Alcotest.failf "failover: %s" (Client.failure_to_string f));
-      (* Typed server answers are final — no retry storm on user error. *)
-      (match
-         Client.with_failover ~base_backoff:0.001 [ live ] (fun c ->
-             Client.predict_typed c ~name:"nope" ~states ~xs)
-       with
-      | Error (Client.Server_error { code = Protocol.Model_not_found; _ }) -> ()
-      | Ok _ -> Alcotest.fail "predict of unknown model succeeded"
-      | Error f -> Alcotest.failf "expected Model_not_found: %s"
-          (Client.failure_to_string f));
-      (* All replicas dead: attempts exhaust into the last failure. *)
-      (match
-         Client.with_failover ~attempts:3 ~base_backoff:0.001 [ dead ] (fun c ->
-             Client.predict_typed c ~name:"m" ~states ~xs)
-       with
-      | Error (Client.Connection_lost _) -> ()
-      | Ok _ -> Alcotest.fail "dead replica answered"
-      | Error f -> Alcotest.failf "expected Connection_lost: %s"
-          (Client.failure_to_string f));
-      Server.stop srv)
-
-let test_supervisor_failover () =
-  let m = synth_model ~dim:5 ~k:3 ~a:8 () in
-  with_server_dir (fun dir ->
-      let make index =
-        let registry = Registry.create () in
-        Registry.put registry ~name:"m" m;
-        let path = Filename.concat dir (Printf.sprintf "repl-%d.sock" index) in
-        Server.start
-          ~config:{ Server.default_config with workers = 2 }
-          ~registry (Unix.ADDR_UNIX path)
-      in
-      let sup =
-        Supervisor.start ~health_interval:0.02 ~base_backoff:0.02
-          ~ping_timeout:0.3 ~n:2 make
-      in
-      Fun.protect ~finally:(fun () -> Supervisor.stop sup) (fun () ->
-          let addrs = Supervisor.addrs sup in
-          check_int "two replicas up" 2 (List.length addrs);
-          let n = 7 in
-          let xs = Mat.init n m.Model.input_dim (fun _ _ -> g ()) in
-          let states = Array.init n (fun i -> i mod m.Model.n_states) in
-          let lm, ls = Engine.predict_batch m ~states ~xs in
-          let check_serving tag =
-            match
-              Client.with_failover ~base_backoff:0.005 ~timeout:0.5
-                (Supervisor.addrs sup)
-                (fun c -> Client.predict_typed c ~name:"m" ~states ~xs)
-            with
-            | Ok (rm, rs) -> check_true tag (bits_eq lm rm && bits_eq ls rs)
-            | Error f -> Alcotest.failf "%s: %s" tag (Client.failure_to_string f)
-          in
-          check_serving "both replicas serving";
-          (* Kill replica 0 out from under the supervisor. *)
-          let victim = List.hd addrs in
-          let c = Client.connect victim in
-          Client.shutdown c;
-          Client.close c;
-          (* The fleet keeps answering throughout via failover... *)
-          check_serving "serving through the crash";
-          (* ...and the supervisor restarts the victim. *)
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          let rec await () =
-            if Supervisor.restarts sup >= 1 then ()
-            else if Unix.gettimeofday () > deadline then
-              Alcotest.fail "supervisor never restarted the dead replica"
-            else begin
-              Thread.delay 0.02;
-              await ()
-            end
-          in
-          await ();
-          (* The restarted replica itself answers again (poll: it may
-             still be mid-spawn for a moment). *)
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          let rec await_serving () =
-            let answered =
-              match
-                Client.with_failover ~attempts:2 ~base_backoff:0.005
-                  ~timeout:0.5 [ victim ]
-                  (fun c -> Client.predict_typed c ~name:"m" ~states ~xs)
-              with
-              | Ok (rm, rs) -> bits_eq lm rm && bits_eq ls rs
-              | Error _ -> false
-            in
-            if answered then ()
-            else if Unix.gettimeofday () > deadline then
-              Alcotest.fail "restarted replica never answered"
-            else begin
-              Thread.delay 0.05;
-              await_serving ()
-            end
-          in
-          await_serving ()))
 
 (* --- Fault taxonomy integration -------------------------------------- *)
 
@@ -1628,13 +1508,13 @@ let test_predict_many () =
 
 let test_shard_ring () =
   let names = Array.init 200 (fun i -> Printf.sprintf "model-%d" i) in
-  let r4 = Shard.ring ~vnodes:64 4 in
+  let r4 = Shard.ring 4 in
   check_int "ring shard count" 4 (Shard.shards r4);
   let p1 = Array.map (Shard.place r4) names in
   (* Deterministic: an independently built identical ring places every
      name the same way — this is what lets clients route with no
      coordination. *)
-  let p2 = Array.map (Shard.place (Shard.ring ~vnodes:64 4)) names in
+  let p2 = Array.map (Shard.place (Shard.ring 4)) names in
   check_true "placement deterministic" (p1 = p2);
   check_true "placement in range"
     (Array.for_all (fun s -> s >= 0 && s < 4) p1);
@@ -1646,17 +1526,35 @@ let test_shard_ring () =
     (Array.for_all (fun c -> c < 150) counts);
   (* Growing 4 -> 5 shards moves roughly 1/5 of the names, never most
      of them (mod-N hashing would move ~4/5). *)
-  let p5 = Array.map (Shard.place (Shard.ring ~vnodes:64 5)) names in
+  let p5 = Array.map (Shard.place (Shard.ring 5)) names in
   let moved = ref 0 in
   Array.iteri (fun i s -> if s <> p5.(i) then incr moved) p1;
   check_true "minimal movement on reshard"
     (!moved > 0 && !moved < Array.length names / 2);
-  (match Shard.ring 0 with
+  match Shard.ring 0 with
   | _ -> Alcotest.fail "ring accepted 0 shards"
-  | exception Invalid_argument _ -> ());
-  match Shard.ring ~vnodes:0 2 with
-  | _ -> Alcotest.fail "ring accepted 0 vnodes"
   | exception Invalid_argument _ -> ()
+
+(* Pinned placement: the owner shard of 50 fixed names on 1-, 3- and
+   4-shard rings, one digit per name.  Every client routes by
+   recomputing this function, so a change to the hash, the finalizer
+   or the virtual-point count would strand models on shards no client
+   asks any more. *)
+let test_shard_ring_golden () =
+  List.iter
+    (fun (shards, golden) ->
+      let r = Shard.ring shards in
+      let owners =
+        String.init 50 (fun i ->
+            Char.chr
+              (Char.code '0' + Shard.place r (Printf.sprintf "model-%d" i)))
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%d-shard owners" shards)
+        golden owners)
+    [ (1, "00000000000000000000000000000000000000000000000000");
+      (3, "20200210211010011110011210112120000021002000202012");
+      (4, "20303210233013013110313210132123030021002000202312") ]
 
 (* N in-process shards: one registry + serve_fd thread per socketpair —
    the generalized loopback-smoke pattern the shard router rides in
@@ -1878,6 +1776,50 @@ let test_shard_redial () =
             ops)
         [ ("a server hangup", kill); ("a shed", shed) ])
 
+let test_shard_dial_raise () =
+  (* A dial that raises leaves nothing cached: [client_for] passes the
+     exception on, and the next call dials again and answers
+     bit-identically instead of handing out a dead connection. *)
+  let m = synth_model ~dim:5 ~k:3 ~a:8 () in
+  let xs = Mat.init 4 m.Model.input_dim (fun _ _ -> g ()) in
+  let states = Array.init 4 (fun s -> s mod m.Model.n_states) in
+  let em, es = Engine.predict_batch m ~states ~xs in
+  let registry = Registry.create () in
+  Registry.put registry ~name:"m" m;
+  let dials = ref 0 in
+  let threads = ref [] in
+  let dial _ =
+    incr dials;
+    if !dials = 1 then
+      raise (Unix.Unix_error (Unix.ECONNREFUSED, "connect", ""));
+    let srv_fd, cl_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    threads :=
+      Thread.create (fun () -> Server.serve_fd ~registry srv_fd) () :: !threads;
+    Client.of_fd cl_fd
+  in
+  let router = Shard.router ~shards:2 dial in
+  Fun.protect
+    ~finally:(fun () ->
+      Shard.close_router router;
+      List.iter Thread.join !threads)
+    (fun () ->
+      (match Shard.client_for router ~name:"m" with
+      | _ -> Alcotest.fail "a refused dial handed out a client"
+      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ());
+      (match
+         Client.predict_typed (Shard.client_for router ~name:"m") ~name:"m"
+           ~states ~xs
+       with
+      | Ok (rm, rs) ->
+          check_true "answer after the refused dial bit-identical"
+            (bits_eq em rm && bits_eq es rs)
+      | Error f ->
+          Alcotest.failf "after the refused dial: %s"
+            (Client.failure_to_string f));
+      check_int "the refused dial was retried once" 2 !dials;
+      ignore (Shard.client_for router ~name:"m");
+      check_int "the new connection is cached" 2 !dials)
+
 let suite =
   [ ( "serve.codec",
       [ case "primitive round-trips (incl. NaN payloads)" test_codec_roundtrip;
@@ -1923,9 +1865,11 @@ let suite =
         case "malformed bodies rejected" test_protocol_rejects ] );
     ( "serve.shard",
       [ case "ring: deterministic, spread, minimal movement" test_shard_ring;
+        case "ring: pinned owners on 1, 3 and 4 shards" test_shard_ring_golden;
         case "in-process multi-shard routing" test_shard_routing_inproc;
         case "reload keeps placement stable" test_shard_reload_stable;
-        case "router redials after every loss" test_shard_redial ] );
+        case "router redials after every loss" test_shard_redial;
+        case "a dial that raised is retried" test_shard_dial_raise ] );
     ( "serve.server",
       [ case "socketpair loopback serving" test_loopback_serving;
         case "typed errors, connection survives" test_loopback_errors;
@@ -1940,9 +1884,7 @@ let suite =
         case "timed-out client stays lost" test_client_stale_reply;
         case "overload sheds with typed reply" test_server_shed_overload;
         case "in-flight request survives stop" test_server_graceful_drain;
-        case "drain cutoff bounds stop" test_server_drain_cutoff;
-        case "with_failover across replicas" test_with_failover;
-        case "supervisor restarts a dead replica" test_supervisor_failover ] );
+        case "drain cutoff bounds stop" test_server_drain_cutoff ] );
     ( "serve.stats",
       [ case "to_json bytes pinned" test_stats_json_golden;
         case "one engine call per served predict" test_stats_engine_calls ] );
