@@ -99,7 +99,10 @@ let parse_model_spec spec =
 (* Sharded serving: fork one full server per shard on
    "<socket>.shard-<i>", then route the pre-registered models to their
    consistent-hash owners over the wire.  The parent just supervises:
-   it parks until a signal, then shuts the cluster down gracefully. *)
+   it parks until a signal, then shuts the cluster down gracefully.
+   Once the shards are forked, any failure to bring them up or load a
+   model stops the cluster before exiting 1, so no shard outlives the
+   parent. *)
 let run_sharded ~config ~max_bytes ~shards ~models socket =
   let base_path =
     match socket with
@@ -108,28 +111,35 @@ let run_sharded ~config ~max_bytes ~shards ~models socket =
         prerr_endline "cbmf_serve: --shards needs --socket BASE_PATH";
         exit 2
   in
+  let specs = List.map parse_model_spec models in
   let cluster = Shard.start ~config ~max_bytes ~shards ~base_path () in
-  Shard.wait_ready cluster;
-  Array.iter
-    (function
-      | Unix.ADDR_UNIX path -> Printf.printf "Listening on %s\n%!" path
-      | _ -> ())
-    (Shard.addrs cluster);
-  let router = Shard.connect cluster in
-  List.iter
-    (fun spec ->
-      let name, path = parse_model_spec spec in
-      match Client.load_path (Shard.client_for router ~name) ~name ~path with
-      | Ok _ ->
-          Printf.printf "Loaded %S -> %s on shard %d\n%!" name path
-            (Shard.route router ~name)
-      | Error msg ->
-          prerr_endline (Printf.sprintf "load %S failed: %s" name msg);
-          Shard.close_router router;
-          Shard.stop cluster;
-          exit 1)
-    models;
-  Shard.close_router router;
+  (try
+     Shard.wait_ready cluster;
+     Array.iter
+       (function
+         | Unix.ADDR_UNIX path -> Printf.printf "Listening on %s\n%!" path
+         | _ -> ())
+       (Shard.addrs cluster);
+     let router = Shard.connect cluster in
+     Fun.protect
+       ~finally:(fun () -> Shard.close_router router)
+       (fun () ->
+         List.iter
+           (fun (name, path) ->
+             match
+               Client.load_path (Shard.client_for router ~name) ~name ~path
+             with
+             | Ok _ ->
+                 Printf.printf "Loaded %S -> %s on shard %d\n%!" name path
+                   (Shard.route router ~name)
+             | Error msg -> failwith (Printf.sprintf "load %S failed: %s" name msg))
+           specs)
+   with e ->
+     prerr_endline
+       ("cbmf_serve: "
+       ^ match e with Failure msg -> msg | e -> Printexc.to_string e);
+     Shard.stop cluster;
+     exit 1);
   let stop_requested = ref false in
   let stop_on_signal _ = stop_requested := true in
   (try Sys.set_signal Sys.sigint (Sys.Signal_handle stop_on_signal)

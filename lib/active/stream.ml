@@ -7,15 +7,7 @@ type t = {
   mutable appended : int;
 }
 
-let create (d : Dataset.t) =
-  (* Materialize the incremental caches up front so every append pays
-     O(M) per cache instead of re-deriving O(N·M) later. *)
-  for k = 0 to d.Dataset.n_states - 1 do
-    ignore (Dataset.ssq d k);
-    ignore (Dataset.column_norms d k);
-    ignore (Dataset.bty d k)
-  done;
-  { data = d; n0 = d.Dataset.n_samples; appended = 0 }
+let create (d : Dataset.t) = { data = d; n0 = d.Dataset.n_samples; appended = 0 }
 
 let dataset t = t.data
 

@@ -3,8 +3,7 @@
     A thin stateful wrapper over {!Cbmf_model.Dataset.append_row}: one
     acquisition round appends exactly one (row, response) per state, so
     the dataset stays rectangular and every EM resync can consume it
-    directly.  Caches (column sums-of-squares/norms, Bᵀy) are warmed at
-    creation and carried forward incrementally by the appends. *)
+    directly. *)
 
 open Cbmf_linalg
 open Cbmf_model
@@ -12,7 +11,7 @@ open Cbmf_model
 type t
 
 val create : Dataset.t -> t
-(** Wrap the seed dataset (warms its incremental caches). *)
+(** Wrap the seed dataset. *)
 
 val dataset : t -> Dataset.t
 (** The current dataset — a fresh immutable value after every append. *)

@@ -18,8 +18,7 @@ let retry_salt = 0x5DEECE66DC0FFEE5L
 
 let max_retry_slots = 16 (* retry attempts per sample are capped below this *)
 
-let generate ?(shared_samples = false) ?(lhs = false) ?(max_retries = 3) ?diag
-    tb rng ~n_per_state =
+let generate ?(max_retries = 3) ?diag tb rng ~n_per_state =
   if n_per_state <= 0 then
     invalid_arg "Montecarlo.generate: n_per_state must be positive";
   let max_retries = Stdlib.max 0 (Stdlib.min (max_retry_slots - 2) max_retries) in
@@ -35,29 +34,17 @@ let generate ?(shared_samples = false) ?(lhs = false) ?(max_retries = 3) ?diag
   let retry_base = Int64.logxor base retry_salt in
   let pool = Cbmf_parallel.Pool.default () in
   let note f = match diag with Some d -> Diag.record d f | None -> Diag.note f in
+  (* Row i of state s's [xs] comes from its own stream (base, s·n + i). *)
   let draw_xs ~stream =
-    if lhs then
-      (* LHS strata are coupled along the sample axis, so the whole
-         matrix is one stream. *)
-      Lhs.gaussian (Rng.derive base ~index:stream) ~n ~dim
-    else begin
-      (* Row i of [xs] comes from its own stream (base, stream·n + i). *)
-      let xs = Mat.create n dim in
-      Cbmf_parallel.Pool.parallel_for pool ~n (fun i ->
-          let r = Rng.derive base ~index:((stream * n) + i) in
-          for j = 0 to dim - 1 do
-            Mat.set xs i j (Rng.gaussian r)
-          done);
-      xs
-    end
+    let xs = Mat.create n dim in
+    Cbmf_parallel.Pool.parallel_for pool ~n (fun i ->
+        let r = Rng.derive base ~index:((stream * n) + i) in
+        for j = 0 to dim - 1 do
+          Mat.set xs i j (Rng.gaussian r)
+        done);
+    xs
   in
-  let xs_all =
-    if shared_samples then begin
-      let shared = draw_xs ~stream:0 in
-      Array.init k (fun s -> if s = 0 then shared else Mat.copy shared)
-    end
-    else Array.init k (fun s -> draw_xs ~stream:s)
-  in
+  let xs_all = Array.init k (fun s -> draw_xs ~stream:s) in
   let p = Testbench.n_pois tb in
   let ys_all = Array.init k (fun _ -> Mat.create n p) in
   (* Per-sample evaluation with bounded, deterministic recovery: a

@@ -3,9 +3,8 @@
     Produces the raw per-state sample sets the modeling flow consumes:
     an N×dim matrix of variation points and an N×P matrix of scalar
     PoI values (one column per {!Testbench.t} PoI) for every state.
-    Samples are drawn independently per state (as in the paper's
-    transistor-level Monte Carlo), with an optional shared-sample mode
-    and optional Latin-hypercube stratification. *)
+    Samples are drawn independently per state, as in the paper's
+    transistor-level Monte Carlo. *)
 
 open Cbmf_linalg
 
@@ -24,8 +23,6 @@ type t = {
 }
 
 val generate :
-  ?shared_samples:bool ->
-  ?lhs:bool ->
   ?max_retries:int ->
   ?diag:Cbmf_robust.Diag.t ->
   Testbench.t ->
@@ -33,8 +30,8 @@ val generate :
   n_per_state:int ->
   t
 (** [generate tb rng ~n_per_state] runs [n_per_state] samples for each
-    state.  [shared_samples] (default false) reuses the same variation
-    points across states; [lhs] (default false) stratifies the draw.
+    state, each variation point drawn from its own standard-normal
+    stream.
 
     Resilience: a sample whose simulation raises (e.g.
     {!Mna.Singular_circuit}) or produces a non-finite PoI is retried up

@@ -58,38 +58,10 @@ type model = {
   view : fitted Lazy.t;
 }
 
-let fit ?(config = default_config) ?init_hypers (d : Dataset.t) =
+let fit ?(config = default_config) (d : Dataset.t) =
   let t0 = Unix.gettimeofday () in
   let transform, std = Standardize.fit d in
-  (* A warm start skips the initializer's (r0, σ0, θ) grid search
-     entirely: the supplied hyper-parameters (standardized space) are
-     the EM's first iterate.  The info record keeps its shape with
-     neutral initializer fields. *)
-  let init =
-    match init_hypers with
-    | Some (h : Prior.t) ->
-        if
-          Prior.n_basis h <> std.Dataset.n_basis
-          || Prior.n_states h <> std.Dataset.n_states
-        then
-          invalid_arg
-            "Cbmf.fit: init_hypers shape mismatch (expects the \
-             standardized problem's dimensions — kept columns only)";
-        let support = ref [] in
-        Array.iteri
-          (fun j lam -> if lam > 0.0 then support := j :: !support)
-          h.Prior.lambda;
-        let support = Array.of_list (List.rev !support) in
-        {
-          Init.support;
-          r0 = 0.0;
-          sigma0 = h.Prior.sigma0;
-          theta = Array.length support;
-          cv_error = 0.0;
-          prior = h;
-        }
-    | None -> Init.run ~config:config.init std
-  in
+  let init = Init.run ~config:config.init std in
   (* On standardized data the response has unit pooled variance, so the
      initializer's held-out relative error is directly an estimate of
      the noise floor in σ0 units.  The floor binds only when
@@ -104,9 +76,7 @@ let fit ?(config = default_config) ?init_hypers (d : Dataset.t) =
         Float.max config.em.Em.min_sigma0 (0.9 *. init.Init.cv_error);
     }
   in
-  let prior, post, trace =
-    Em.run ~config:em_config ?init_hypers std init.Init.prior
-  in
+  let prior, post, trace = Em.run ~config:em_config std init.Init.prior in
   let coeffs_std = Posterior.coefficients post in
   let coeffs = Standardize.unstandardize_coeffs transform coeffs_std in
   let y_scale = Standardize.response_scale transform in

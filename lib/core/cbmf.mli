@@ -82,15 +82,12 @@ type model = {
           factorization — cheap next to the fit itself) *)
 }
 
-val fit : ?config:config -> ?init_hypers:Prior.t -> Dataset.t -> model
+val fit : ?config:config -> Dataset.t -> model
 (** [fit d] runs the full pipeline: standardize → initializer grid →
-    EM → unstandardize.  [init_hypers] (standardized-space Ω from a
-    previous fit) skips the initializer grid entirely and warm-starts
-    the EM there — the initializer fields of [info] are then neutral
-    (r0 = 0, cv_error = 0, θ = #{λ > 0}) and the EM trace records
-    [warm_start = true].  Without [init_hypers], raises
-    [Invalid_argument] when a state has fewer samples than the
-    initializer's [n_folds] (see {!Init.run}). *)
+    EM → unstandardize.  Raises [Invalid_argument] when a state has
+    fewer samples than the initializer's [n_folds] (see {!Init.run}).
+    A warm start from an earlier fit's hyper-parameters goes through
+    {!Em.run}'s [?init_hypers]. *)
 
 val fitted_view : model -> fitted
 (** Force and return {!model.view}. *)

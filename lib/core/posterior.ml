@@ -717,6 +717,6 @@ let naive_dense (d : Dataset.t) (prior : Prior.t) =
   let mu = Mat.init m k (fun j s -> mu_flat.((j * k) + s)) in
   (* Σp = A − A Dᵀ G⁻¹ D A. *)
   let ginv_da = Chol.solve_mat chol da in
-  let sigma = Mat.sub amat (Mat.matmul_tn da ginv_da) in
+  let sigma = Mat.sub amat (Mat.matmul (Mat.transpose da) ginv_da) in
   let nlml = Vec.dot y z +. Chol.log_det chol in
   (mu, sigma, nlml)

@@ -138,9 +138,7 @@ let panel l n ~j0 ~j1 =
   let pair_flops =
     2.0 *. float_of_int w *. (float_of_int j0 +. (0.5 *. float_of_int w))
   in
-  Mat.fan_items
-    ~flops:(float_of_int pairs *. pair_flops)
-    ~item_cost_ns:pair_flops ~items body
+  Mat.fan_items ~flops:(float_of_int pairs *. pair_flops) ~items body
 
 let factorize ?(jitter = 0.0) (a : Mat.t) =
   let n = a.Mat.rows in
@@ -432,12 +430,10 @@ let lower_inverse_t f =
     if idx < pairs then lower_inverse_pair l n od (2 * idx)
     else od.((n * n) - 1) <- 1.0 /. l.((n * n) - 1)
   in
-  (* Pair costs fall as (n − u)²; the mean prices the chunks, and the
-     cursor absorbs the skew. *)
+  (* Pair costs fall as (n − u)², about n²/3 on average; the cursor
+     absorbs the skew. *)
   let pair_flops = float_of_int (n * n) /. 3.0 in
-  Mat.fan_items
-    ~flops:(float_of_int pairs *. pair_flops)
-    ~item_cost_ns:pair_flops ~items body;
+  Mat.fan_items ~flops:(float_of_int pairs *. pair_flops) ~items body;
   out
 
 let mahalanobis_sq f x mu = quad_inv f (Vec.sub x mu)

@@ -66,10 +66,6 @@ val solve_lower_mat : t -> Mat.t -> Mat.t
     sparse stacked right-hand sides (block-diagonal designs, identity
     columns) pay only for their nonzero row range. *)
 
-val solve_lower_mat_inplace : t -> Mat.t -> unit
-(** In-place variant of {!solve_lower_mat}: overwrites [b] with the
-    solution (no allocation — for workspace-reusing hot paths). *)
-
 val inverse : t -> Mat.t
 (** [a⁻¹] (symmetric). *)
 

@@ -135,23 +135,16 @@ let add_diag_inplace a c =
    rounding).
 
    Panel parallelism: each blocked kernel is factored into a core that
-   computes an output row panel (or column panel for the T·N shapes);
-   the sequential path runs the core once over the full range, the
-   parallel path fans panels out across [Pool.default ()].  Because
-   every output element's accumulation order, unroll grouping and
-   zero-skip expression are shared between the two paths, results are
-   bit-identical at any domain count.  The parallel path is taken only
-   when the pool has >1 domain, the call is not already inside a pool
-   task, and the estimated work clears [Tune.gemm_fanout] — so a 1-core
-   run (or a nested call) never pays for packing or gate traffic.
-
-   Pack-once buffers: the parallel [matmul] packs [b] into
-   tile-contiguous panels once per call (every row panel re-sweeps all
-   of [b], so the pack cost O(p·n) amortizes over m rows and turns the
-   tile sweep into pure streaming); the parallel [matmul_tn] packs each
-   task's column slab of [b] into a per-slot arena buffer (stride-n row
-   segments become stride-w).  Packing relocates values without
-   touching them, so it cannot affect bits. *)
+   computes an output row panel (or row pairs); the sequential path
+   runs the core once over the full range, the parallel path fans
+   panels out across [Pool.default ()], every panel reading its
+   operands in place.  Because every output element's accumulation
+   order, unroll grouping and zero-skip expression are shared between
+   the two paths, results are bit-identical at any domain count.  The
+   parallel path is taken only when the call is not already inside a
+   pool task and [Tune.gemm_fanout] accepts the pool size and the
+   estimated work — so a 1-core run (or a nested call) never pays for
+   gate traffic. *)
 
 let matmul_naive a b =
   assert (a.cols = b.rows);
@@ -203,24 +196,23 @@ let tile_k = 64
 
 let tile_j = 256
 
-(* Per-slot scratch for the parallel kernels (column-slab packs, the
-   weighted-row stage).  Ids are globally fresh, so no other subsystem
-   sharing a slot can collide with them. *)
+(* Per-slot scratch for the weighted-row stage.  The id is globally
+   fresh, so no other subsystem sharing a slot can collide with it. *)
 let scratch = Arena.create ()
-
-let id_tn_slab = Arena.fresh_id ()
 
 let id_w_row = Arena.fresh_id ()
 
-(* Fan-out guard.  The cheap flop pre-check sits below the smallest
-   possible calibrated threshold (32 × the 500 ns wakeup floor), so
-   small products never even look the default pool up. *)
+(* Fan-out guard: [Tune.gemm_fanout]'s call, nested calls staying put.
+   It is asked first for the largest pool, so a product too small for
+   any pool never looks the default pool up (nor creates it, e.g. in a
+   forked server that only serves small predicts). *)
 let par_pool ~flops =
-  if flops < 16_000.0 || Pool.in_parallel () then None
+  if (not (Tune.gemm_fanout ~size:Tune.max_domains ~flops)) || Pool.in_parallel ()
+  then None
   else
     let pool = Pool.default () in
-    let size = Pool.size pool in
-    if size > 1 && Tune.gemm_fanout ~size ~flops then Some pool else None
+    if Tune.gemm_fanout ~size:(Pool.size pool) ~flops then Some pool
+    else None
 
 (* Row panel [ilo, ihi) of c += a·b, reading [b] in place.  The
    sequential [matmul] is exactly this over [0, m). *)
@@ -277,98 +269,10 @@ let matmul_rows ad bd c ~n ~p ~ilo ~ihi =
     k0 := k1
   done
 
-(* Pack [b] (p×n) into tile-major layout: for each (k-tile, j-tile)
-   the tile's rows are stored contiguously at [offsets.(kt·njt + jt)],
-   each of width (j1 - j0).  Pure relocation — no arithmetic. *)
-let pack_b bd ~n ~p =
-  let njt = (n + tile_j - 1) / tile_j in
-  let nkt = (p + tile_k - 1) / tile_k in
-  let packed = Array.make (p * n) 0.0 in
-  let offsets = Array.make (nkt * njt) 0 in
-  let pos = ref 0 in
-  for kt = 0 to nkt - 1 do
-    let k0 = kt * tile_k in
-    let k1 = Stdlib.min p (k0 + tile_k) in
-    for jt = 0 to njt - 1 do
-      let j0 = jt * tile_j in
-      let j1 = Stdlib.min n (j0 + tile_j) in
-      let w = j1 - j0 in
-      offsets.((kt * njt) + jt) <- !pos;
-      for kk = k0 to k1 - 1 do
-        Array.blit bd ((kk * n) + j0) packed (!pos + ((kk - k0) * w)) w
-      done;
-      pos := !pos + ((k1 - k0) * w)
-    done
-  done;
-  (packed, offsets, njt)
-
-(* [matmul_rows] against the packed layout: same loop structure, same
-   unrolling, same zero-skip, same per-element accumulation order —
-   only the addresses of [b]'s values differ. *)
-let matmul_rows_packed ad packed offsets njt c ~n ~p ~ilo ~ihi =
-  let k0 = ref 0 in
-  let kt = ref 0 in
-  while !k0 < p do
-    let k1 = Stdlib.min p (!k0 + tile_k) in
-    let j0 = ref 0 in
-    let jt = ref 0 in
-    while !j0 < n do
-      let j1 = Stdlib.min n (!j0 + tile_j) in
-      let jlo = !j0 in
-      let w = j1 - jlo in
-      let base = offsets.((!kt * njt) + !jt) in
-      let kbase = !k0 in
-      for i = ilo to ihi - 1 do
-        let arow = i * p in
-        let crow = (i * n) + jlo in
-        let k = ref kbase in
-        while !k + 3 < k1 do
-          let kk = !k in
-          let a0 = Array.unsafe_get ad (arow + kk)
-          and a1 = Array.unsafe_get ad (arow + kk + 1)
-          and a2 = Array.unsafe_get ad (arow + kk + 2)
-          and a3 = Array.unsafe_get ad (arow + kk + 3) in
-          if a0 <> 0.0 || a1 <> 0.0 || a2 <> 0.0 || a3 <> 0.0 then begin
-            let b0 = base + ((kk - kbase) * w) in
-            let b1 = b0 + w and b2 = b0 + (2 * w) and b3 = b0 + (3 * w) in
-            for j = 0 to w - 1 do
-              Array.unsafe_set c (crow + j)
-                (Array.unsafe_get c (crow + j)
-                +. (a0 *. Array.unsafe_get packed (b0 + j))
-                +. (a1 *. Array.unsafe_get packed (b1 + j))
-                +. (a2 *. Array.unsafe_get packed (b2 + j))
-                +. (a3 *. Array.unsafe_get packed (b3 + j)))
-            done
-          end;
-          k := kk + 4
-        done;
-        while !k < k1 do
-          let kk = !k in
-          let aik = Array.unsafe_get ad (arow + kk) in
-          if aik <> 0.0 then begin
-            let brow = base + ((kk - kbase) * w) in
-            for j = 0 to w - 1 do
-              Array.unsafe_set c (crow + j)
-                (Array.unsafe_get c (crow + j)
-                +. (aik *. Array.unsafe_get packed (brow + j)))
-            done
-          end;
-          k := kk + 1
-        done
-      done;
-      j0 := j1;
-      incr jt
-    done;
-    k0 := k1;
-    incr kt
-  done
-
 (* Fan row panels of [0, m) across [pool], chunk = one panel so the
-   cursor balances stragglers.  [panel_cost_ns] prices one index. *)
-let fan_rows pool ~m ~row_cost_ns body =
-  let panel =
-    Tune.chunk ~cost_hint_ns:row_cost_ns ~size:(Pool.size pool) ~n:m ()
-  in
+   cursor balances stragglers. *)
+let fan_rows pool ~m body =
+  let panel = Tune.chunk ~size:(Pool.size pool) ~n:m in
   let n_panels = (m + panel - 1) / panel in
   Pool.parallel_for ~chunk:1 pool ~n:n_panels (fun pi ->
       let ilo = pi * panel in
@@ -376,15 +280,10 @@ let fan_rows pool ~m ~row_cost_ns body =
 
 (* Items [0, items) in order on the calling domain, or fanned over the
    pool when the guard allows a job of [flops] — the per-item kernels
-   write only what their index owns, so either way gives the same bits.
-   [item_cost_ns] prices one item for the chunk size. *)
-let fan_items ~flops ~item_cost_ns ~items body =
+   write only what their index owns, so either way gives the same bits. *)
+let fan_items ~flops ~items body =
   match par_pool ~flops with
-  | Some pool when items >= 2 ->
-      let chunk =
-        Tune.chunk ~cost_hint_ns:item_cost_ns ~size:(Pool.size pool) ~n:items ()
-      in
-      Pool.parallel_for ~chunk pool ~n:items body
+  | Some pool when items >= 2 -> Pool.parallel_for pool ~n:items body
   | _ ->
       for idx = 0 to items - 1 do
         body idx
@@ -396,10 +295,7 @@ let matmul_into_data a b c =
   let flops = float_of_int m *. float_of_int n *. float_of_int p in
   match par_pool ~flops with
   | Some pool when m >= 2 ->
-      let packed, offsets, njt = pack_b bd ~n ~p in
-      fan_rows pool ~m ~row_cost_ns:(float_of_int (n * p))
-        (fun ~ilo ~ihi ->
-          matmul_rows_packed ad packed offsets njt c ~n ~p ~ilo ~ihi)
+      fan_rows pool ~m (fun ~ilo ~ihi -> matmul_rows ad bd c ~n ~p ~ilo ~ihi)
   | _ -> matmul_rows ad bd c ~n ~p ~ilo:0 ~ihi:m
 
 let matmul a b =
@@ -463,8 +359,10 @@ let nt_row ad bd c ~n ~p i =
     Array.unsafe_set c (cr + j) (nt_dot ad bd ~p ar (j * p))
   done
 
-let matmul_nt_into_data a b c =
+let matmul_nt a b =
+  assert (a.cols = b.cols);
   let m = a.rows and n = b.rows and p = a.cols in
+  let c = Array.make (m * n) 0.0 in
   let ad = a.data and bd = b.data in
   let n_pairs = m / 2 in
   let items = n_pairs + (m land 1) in
@@ -474,89 +372,11 @@ let matmul_nt_into_data a b c =
   in
   fan_items
     ~flops:(float_of_int m *. float_of_int n *. float_of_int p)
-    ~item_cost_ns:(2.0 *. float_of_int (n * p))
-    ~items body
-
-let matmul_nt a b =
-  assert (a.cols = b.cols);
-  let c = Array.make (a.rows * b.rows) 0.0 in
-  matmul_nt_into_data a b c;
-  { rows = a.rows; cols = b.rows; data = c }
-
-let matmul_nt_into a b ~dst =
-  assert (a.cols = b.cols && dst.rows = a.rows && dst.cols = b.rows);
-  matmul_nt_into_data a b dst.data
-
-(* Column slab [jlo, jlo+w) of c = aᵀ·b.  [bsl] holds that slab of [b]
-   packed contiguously (p rows of width [w]); the sequential caller
-   passes [b]'s own data with [w = n] and no pack.  axpy kernel, k
-   (shared rows) unrolled 2× so each accumulator row element is
-   touched once per two multiply-adds. *)
-let tn_slab ad bsl c ~m ~n ~p ~jlo ~w =
-  let k = ref 0 in
-  while !k + 1 < p do
-    let kk = !k in
-    let ar0 = kk * m and ar1 = (kk + 1) * m in
-    let br0 = kk * w and br1 = (kk + 1) * w in
-    for i = 0 to m - 1 do
-      let a0 = Array.unsafe_get ad (ar0 + i)
-      and a1 = Array.unsafe_get ad (ar1 + i) in
-      if a0 <> 0.0 || a1 <> 0.0 then begin
-        let crow = (i * n) + jlo in
-        for j = 0 to w - 1 do
-          Array.unsafe_set c (crow + j)
-            (Array.unsafe_get c (crow + j)
-            +. (a0 *. Array.unsafe_get bsl (br0 + j))
-            +. (a1 *. Array.unsafe_get bsl (br1 + j)))
-        done
-      end
-    done;
-    k := kk + 2
-  done;
-  if !k < p then begin
-    let arow = !k * m and brow = !k * w in
-    for i = 0 to m - 1 do
-      let aki = Array.unsafe_get ad (arow + i) in
-      if aki <> 0.0 then begin
-        let crow = (i * n) + jlo in
-        for j = 0 to w - 1 do
-          Array.unsafe_set c (crow + j)
-            (Array.unsafe_get c (crow + j)
-            +. (aki *. Array.unsafe_get bsl (brow + j)))
-        done
-      end
-    done
-  end
-
-let matmul_tn a b =
-  assert (a.rows = b.rows);
-  let m = a.cols and n = b.cols and p = a.rows in
-  let c = Array.make (m * n) 0.0 in
-  let ad = a.data and bd = b.data in
-  let flops = float_of_int m *. float_of_int n *. float_of_int p in
-  (match par_pool ~flops with
-  | Some pool when n >= 2 ->
-      (* Column panels; each task packs its slab of [b] into per-slot
-         scratch so the stride-n row segments become stride-w. *)
-      let size = Pool.size pool in
-      let panel =
-        Stdlib.min n
-          (Tune.chunk ~cost_hint_ns:(float_of_int (m * p)) ~size ~n ())
-      in
-      let n_panels = (n + panel - 1) / panel in
-      Pool.parallel_for ~chunk:1 pool ~n:n_panels (fun pi ->
-          let jlo = pi * panel in
-          let w = Stdlib.min n (jlo + panel) - jlo in
-          let bsl = Arena.grab scratch id_tn_slab (p * panel) in
-          for k = 0 to p - 1 do
-            Array.blit bd ((k * n) + jlo) bsl (k * w) w
-          done;
-          tn_slab ad bsl c ~m ~n ~p ~jlo ~w)
-  | _ -> tn_slab ad bd c ~m ~n ~p ~jlo:0 ~w:n);
+    ~items body;
   { rows = m; cols = n; data = c }
 
 (* Symmetric rank-k updates: only the upper triangle is accumulated,
-   then mirrored — half the multiply-adds of the general product.
+   then mirrored — half the multiply-adds of a full product.
    [syrk_tn] fans out over row panels of the triangle (each index owns
    rows [ilo, ihi) of the upper part; the mirror stays sequential),
    [syrk_nt] over row pairs (each pair also writes the matching
@@ -584,11 +404,9 @@ let syrk_tn a =
   let flops = 0.5 *. float_of_int (n * n) *. float_of_int p in
   (match par_pool ~flops with
   | Some pool when n >= 2 ->
-      (* Row cost shrinks with i (triangle); the average n·p/2 with
-         one-panel chunks lets the cursor balance the skew. *)
-      fan_rows pool ~m:n
-        ~row_cost_ns:(0.5 *. float_of_int (n * p))
-        (fun ~ilo ~ihi -> syrk_tn_rows ad c ~n ~p ~ilo ~ihi)
+      (* Row cost shrinks with i (triangle); one-panel chunks let the
+         cursor balance the skew. *)
+      fan_rows pool ~m:n (fun ~ilo ~ihi -> syrk_tn_rows ad c ~n ~p ~ilo ~ihi)
   | _ -> syrk_tn_rows ad c ~n ~p ~ilo:0 ~ihi:n);
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
@@ -713,7 +531,7 @@ let syrk_nt a =
   in
   let live = Array.fold_left (fun acc f -> acc + (p - f)) 0 fz in
   let flops = 0.5 *. float_of_int m *. float_of_int live in
-  fan_items ~flops ~item_cost_ns:(flops /. float_of_int items) ~items body;
+  fan_items ~flops ~items body;
   { rows = m; cols = m; data = c }
 
 (* Fused weighted product a·diag(w)·bᵀ.  The weighted row of [a] is
@@ -744,9 +562,11 @@ let ntw_rows ad bd wv t c ~n ~p ~symmetric ~ilo ~ihi =
     done
   done
 
-let matmul_nt_weighted_into_data a w b c =
+let matmul_nt_weighted_into a w b ~dst =
+  assert (a.cols = b.cols && Array.length w = a.cols);
+  assert (dst.rows = a.rows && dst.cols = b.rows);
   let m = a.rows and n = b.rows and p = a.cols in
-  let ad = a.data and bd = b.data in
+  let ad = a.data and bd = b.data and c = dst.data in
   let symmetric = ad == bd && m = n in
   let flops =
     (if symmetric then 0.5 else 1.0)
@@ -754,10 +574,7 @@ let matmul_nt_weighted_into_data a w b c =
   in
   (match par_pool ~flops with
   | Some pool when m >= 2 ->
-      let row_cost =
-        (if symmetric then 0.5 else 1.0) *. float_of_int (n * p)
-      in
-      fan_rows pool ~m ~row_cost_ns:row_cost (fun ~ilo ~ihi ->
+      fan_rows pool ~m (fun ~ilo ~ihi ->
           let t = Arena.grab scratch id_w_row p in
           ntw_rows ad bd w t c ~n ~p ~symmetric ~ilo ~ihi)
   | _ ->
@@ -776,17 +593,6 @@ let matmul_nt_weighted_into_data a w b c =
         Array.unsafe_set c ((j * n) + i) (Array.unsafe_get c ((i * n) + j))
       done
     done
-
-let matmul_nt_weighted a w b =
-  assert (a.cols = b.cols && Array.length w = a.cols);
-  let c = Array.make (a.rows * b.rows) 0.0 in
-  matmul_nt_weighted_into_data a w b c;
-  { rows = a.rows; cols = b.rows; data = c }
-
-let matmul_nt_weighted_into a w b ~dst =
-  assert (a.cols = b.cols && Array.length w = a.cols);
-  assert (dst.rows = a.rows && dst.cols = b.rows);
-  matmul_nt_weighted_into_data a w b dst.data
 
 let mat_vec a x =
   assert (a.cols = Array.length x);

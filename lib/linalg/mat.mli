@@ -95,33 +95,31 @@ val add_diag_inplace : t -> float -> unit
 (** {2 GEMM}
 
     The blocked kernels fan output panels across the shared
-    {!Cbmf_parallel.Pool.default} pool when it has more than one
-    domain, the call is not already inside a pool task, and the
-    estimated work clears {!Cbmf_parallel.Tune.gemm_fanout}.  The
-    parallel paths share their per-element accumulation order, unroll
-    grouping and zero-skip expressions with the sequential kernels, so
-    results are bit-identical at any [CBMF_DOMAINS]; a 1-domain pool
-    pays nothing (no packing, no gate traffic).  The [_into] variants
-    write into a caller-owned destination (fully overwriting it) so
-    hot loops can reuse arena buffers instead of allocating. *)
+    {!Cbmf_parallel.Pool.default} pool when the call is not already
+    inside a pool task and {!Cbmf_parallel.Tune.gemm_fanout} accepts
+    the pool size and the estimated work; every panel reads its
+    operands in place.  The parallel paths share their per-element
+    accumulation order, unroll grouping and zero-skip expressions with
+    the sequential kernels, so results are bit-identical at any
+    [CBMF_DOMAINS]; a 1-domain pool pays nothing (no gate traffic).
+    The [_into] variants write into a caller-owned destination (fully
+    overwriting it) so hot loops can reuse arena buffers instead of
+    allocating. *)
 
-val fan_items :
-  flops:float -> item_cost_ns:float -> items:int -> (int -> unit) -> unit
-(** [fan_items ~flops ~item_cost_ns ~items body] runs [body 0 …
-    body (items − 1)]: over {!Cbmf_parallel.Pool.default} when a job of
-    about [flops] multiply-adds is worth waking it for, otherwise in
-    order on the calling domain.  The guard the GEMM panels use: a
-    cheap pre-check turns small jobs down before the pool is even
-    looked up, calls from inside a pool task and 1-domain pools stay
-    put, and the rest is {!Cbmf_parallel.Tune.gemm_fanout}'s call.
-    [item_cost_ns] prices one item for the chunk size.  [body] must
-    write only what its index owns; the kernels here and in {!Chol}
-    then give the same bits either way. *)
+val fan_items : flops:float -> items:int -> (int -> unit) -> unit
+(** [fan_items ~flops ~items body] runs [body 0 … body (items − 1)]:
+    over {!Cbmf_parallel.Pool.default} when a job of about [flops]
+    multiply-adds is worth waking it for, otherwise in order on the
+    calling domain.  The guard the GEMM panels use:
+    {!Cbmf_parallel.Tune.gemm_fanout}'s call, asked first for the
+    largest pool so that a small job never looks the pool up, with
+    calls from inside a pool task staying put.  [body]
+    must write only what its index owns; the kernels here and in
+    {!Chol} then give the same bits either way. *)
 
 val matmul : t -> t -> t
 (** [matmul a b] is [a * b] (cache-blocked, k-unrolled kernel; the
-    parallel path packs [b] into tile-contiguous panels once per
-    call). *)
+    parallel path fans row panels out). *)
 
 val matmul_into : t -> t -> dst:t -> unit
 
@@ -129,13 +127,6 @@ val matmul_nt : t -> t -> t
 (** [matmul_nt a b] is [a * bᵀ] (2×2 register-blocked dot kernel;
     parallel fan-out is over row pairs so the pairing alignment is
     domain-count-invariant). *)
-
-val matmul_nt_into : t -> t -> dst:t -> unit
-
-val matmul_tn : t -> t -> t
-(** [matmul_tn a b] is [aᵀ * b] (2×-unrolled axpy kernel; the parallel
-    path packs each task's column slab of [b] into per-worker arena
-    scratch). *)
 
 val matmul_naive : t -> t -> t
 (** Reference triple-loop [a * b]: oracle for the blocked kernels. *)
@@ -145,7 +136,8 @@ val matmul_nt_naive : t -> t -> t
 
 val syrk_tn : t -> t
 (** [syrk_tn a] is the symmetric rank-k update [aᵀ a], computing only
-    the upper triangle and mirroring — half the work of {!matmul_tn}. *)
+    the upper triangle and mirroring — half the work of a full
+    product. *)
 
 val syrk_nt : t -> t
 (** [syrk_nt a] is [a aᵀ], upper triangle only then mirrored, by 2×2
@@ -161,14 +153,13 @@ val syrk_nt_naive : t -> t
 (** Reference row-dot [a aᵀ] over every column: the oracle for
     {!syrk_nt}. *)
 
-val matmul_nt_weighted : t -> Vec.t -> t -> t
-(** [matmul_nt_weighted a w b] is [a · diag(w) · bᵀ] with the weighting
-    fused into the kernel (no scaled copy of [a] or [b] is formed).
-    When [a] and [b] are physically the same matrix only the upper
-    triangle is computed and mirrored.  The staged row lives in
-    per-worker arena scratch, so repeated calls allocate nothing. *)
-
 val matmul_nt_weighted_into : t -> Vec.t -> t -> dst:t -> unit
+(** [matmul_nt_weighted_into a w b ~dst] writes [a · diag(w) · bᵀ] into
+    [dst], with the weighting fused into the kernel (no scaled copy of
+    [a] or [b] is formed).  When [a] and [b] are physically the same
+    matrix only the upper triangle is computed and mirrored.  The
+    staged row lives in per-worker arena scratch inside pool tasks, so
+    repeated calls there allocate nothing. *)
 
 val mat_vec : t -> Vec.t -> Vec.t
 (** [mat_vec a x] is [a x]. *)

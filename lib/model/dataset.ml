@@ -8,8 +8,6 @@ type t = {
   response : Vec.t array;
   norms_cache : Vec.t option array;
   bty_cache : Vec.t option array;
-  ssq_cache : Vec.t option array;
-  gram_cache : Mat.t option array;
 }
 
 let create ~design ~response =
@@ -32,8 +30,6 @@ let create ~design ~response =
     response;
     norms_cache = Array.make n_states None;
     bty_cache = Array.make n_states None;
-    ssq_cache = Array.make n_states None;
-    gram_cache = Array.make n_states None;
   }
 
 (* --- Per-design-matrix caches -----------------------------------------
@@ -48,35 +44,23 @@ let create ~design ~response =
    so concurrent lazy initialization from pool workers is idempotent;
    [warm_caches] lets hot paths force the fill before fanning out. *)
 
-(* Raw per-column sums of squares, the quantity the appends below can
-   carry forward exactly.  [column_norms] derives its zero-safe sqrt
-   view from this, in the same accumulation order as
-   {!Cbmf_basis.Dictionary.column_norms} (rows ascending, columns
-   inner), so the cached norms are bit-identical to a from-scratch
-   recomputation whether they were filled lazily or incrementally. *)
-let ssq d k =
-  match d.ssq_cache.(k) with
-  | Some v -> v
-  | None ->
-      let b = d.design.(k) in
-      let v = Array.make d.n_basis 0.0 in
-      for i = 0 to b.Mat.rows - 1 do
-        let off = i * d.n_basis in
-        for j = 0 to d.n_basis - 1 do
-          let x = b.Mat.data.(off + j) in
-          v.(j) <- v.(j) +. (x *. x)
-        done
-      done;
-      d.ssq_cache.(k) <- Some v;
-      v
-
+(* Rows ascending, columns inner: the accumulation order of
+   {!Cbmf_basis.Dictionary.column_norms}, so the cached norms are
+   bit-identical to it. *)
 let column_norms d k =
   match d.norms_cache.(k) with
   | Some v -> v
   | None ->
-      let v =
-        Array.map (fun s -> if s > 0.0 then sqrt s else 1.0) (ssq d k)
-      in
+      let b = d.design.(k) in
+      let ssq = Array.make d.n_basis 0.0 in
+      for i = 0 to b.Mat.rows - 1 do
+        let off = i * d.n_basis in
+        for j = 0 to d.n_basis - 1 do
+          let x = b.Mat.data.(off + j) in
+          ssq.(j) <- ssq.(j) +. (x *. x)
+        done
+      done;
+      let v = Array.map (fun s -> if s > 0.0 then sqrt s else 1.0) ssq in
       d.norms_cache.(k) <- Some v;
       v
 
@@ -88,14 +72,6 @@ let bty d k =
       d.bty_cache.(k) <- Some v;
       v
 
-let gram d k =
-  match d.gram_cache.(k) with
-  | Some g -> g
-  | None ->
-      let g = Mat.gram d.design.(k) in
-      d.gram_cache.(k) <- Some g;
-      g
-
 let warm_caches d =
   for k = 0 to d.n_states - 1 do
     ignore (column_norms d k);
@@ -105,12 +81,9 @@ let warm_caches d =
 (* --- Streaming appends ----------------------------------------------
    The active-learning loop grows a dataset one acquisition round at a
    time.  Appends return a fresh dataset (values stay immutable from
-   the caller's point of view) but carry every already-materialized
-   cache forward incrementally: new rows extend the per-column
-   sums-of-squares and Bᵀy partial sums in the same ascending-row
-   order a from-scratch pass would use (bit-identical), and extend the
-   M×M Grams by one outer product per row (O(M²) instead of O(N·M²)).
-   Caches the parent never filled stay lazy in the child too. *)
+   the caller's point of view) whose caches start empty: the loop
+   never reads them on a grown dataset, and a reader fills them from
+   scratch. *)
 
 let append_rows d ~design ~response =
   if Array.length design <> d.n_states || Array.length response <> d.n_states
@@ -145,48 +118,7 @@ let append_rows d ~design ~response =
         y)
       response
   in
-  let child = create ~design:design' ~response:response' in
-  for k = 0 to d.n_states - 1 do
-    let nb = design.(k) and ys = response.(k) in
-    (match d.ssq_cache.(k) with
-    | None -> ()
-    | Some old ->
-        let v = Array.copy old in
-        for i = 0 to n_new - 1 do
-          let off = i * m in
-          for j = 0 to m - 1 do
-            let x = nb.Mat.data.(off + j) in
-            v.(j) <- v.(j) +. (x *. x)
-          done
-        done;
-        child.ssq_cache.(k) <- Some v;
-        child.norms_cache.(k) <-
-          Some (Array.map (fun s -> if s > 0.0 then sqrt s else 1.0) v));
-    (match d.bty_cache.(k) with
-    | None -> ()
-    | Some old ->
-        let v = Array.copy old in
-        for i = 0 to n_new - 1 do
-          let yi = ys.(i) in
-          if yi <> 0.0 then begin
-            let off = i * m in
-            for j = 0 to m - 1 do
-              v.(j) <- v.(j) +. (yi *. nb.Mat.data.(off + j))
-            done
-          end
-        done;
-        child.bty_cache.(k) <- Some v);
-    match d.gram_cache.(k) with
-    | None -> ()
-    | Some old ->
-        let g = Mat.copy old in
-        for i = 0 to n_new - 1 do
-          let r = Mat.row nb i in
-          Mat.add_outer_inplace g 1.0 r r
-        done;
-        child.gram_cache.(k) <- Some g
-  done;
-  child
+  create ~design:design' ~response:response'
 
 let append_row d ~rows ~ys =
   if Array.length rows <> d.n_states || Array.length ys <> d.n_states then

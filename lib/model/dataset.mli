@@ -18,11 +18,6 @@ type t = private {
       (** lazily filled per-state column norms — use {!column_norms} *)
   bty_cache : Vec.t option array;
       (** lazily filled per-state [B_kᵀ y_k] — use {!bty} *)
-  ssq_cache : Vec.t option array;
-      (** lazily filled per-state raw column sums of squares — use
-          {!ssq}; the exact quantity {!append_rows} carries forward *)
-  gram_cache : Mat.t option array;
-      (** lazily filled per-state M×M [B_kᵀ B_k] — use {!gram} *)
 }
 
 val create : design:Mat.t array -> response:Vec.t array -> t
@@ -32,13 +27,9 @@ val append_rows : t -> design:Mat.t array -> response:Vec.t array -> t
 (** [append_rows d ~design ~response] is a fresh dataset with
     [design.(k)] (n_new×M) stacked under state [k]'s rows and
     [response.(k)] appended to its responses — the streaming growth
-    step of the active-learning loop.  Every cache the parent had
-    already materialized is carried forward {e incrementally}: column
-    sums-of-squares/norms and [Bᵀy] extend in the same ascending-row
-    accumulation order a from-scratch pass uses (bit-identical
-    results), and each cached Gram gains one outer product per new row
-    (O(n_new·M²) instead of O(N·M²)).  Caches the parent never filled
-    stay lazy.  The parent is unchanged. *)
+    step of the active-learning loop.  The new dataset's caches start
+    empty and fill lazily like any other's.  The parent is
+    unchanged. *)
 
 val append_row : t -> rows:Vec.t array -> ys:float array -> t
 (** One-sample-per-state convenience wrapper over {!append_rows}:
@@ -56,20 +47,6 @@ val bty : t -> int -> Vec.t
 (** [bty d k] is [B_kᵀ y_k], cached like {!column_norms} — the
     right-hand side every support refit slices from.  Returns the
     cached array itself: do not mutate. *)
-
-val ssq : t -> int -> Vec.t
-(** [ssq d k] is the raw per-column sums of squares of [B_k], cached —
-    the un-sqrt'd quantity behind {!column_norms}, kept separately so
-    {!append_rows} can extend it exactly (the zero-column → 1.0
-    convention in [column_norms] loses the information needed for an
-    incremental update).  Returns the cached array itself: do not
-    mutate. *)
-
-val gram : t -> int -> Mat.t
-(** [gram d k] is the M×M [B_kᵀ B_k], cached per state.  Only callers
-    that ask pay its O(N·M²) cost; {!append_rows} then keeps it fresh
-    at O(M²) per appended row.  Returns the cached matrix itself: do
-    not mutate. *)
 
 val warm_caches : t -> unit
 (** Force {!column_norms} and {!bty} for every state.  Hot paths that

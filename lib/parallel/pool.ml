@@ -1,12 +1,11 @@
 (* Reusable domain pool for the C-BMF hot paths.
 
    Determinism contract: every parallel entry point is chunk-order- and
-   domain-count-invariant.  [map]/[map_reduce] store per-index results in
-   a pre-allocated slot array and reduce them sequentially in index
-   order, so for any pool size and any chunking the result is
-   bit-identical to the sequential fold.  [parallel_for] requires the
-   body to write only index-owned locations; under that contract the
-   output is bit-identical to the sequential loop.
+   domain-count-invariant.  [map] stores per-index results in a
+   pre-allocated slot array, so for any pool size and any chunking the
+   result is bit-identical to [Array.init].  [parallel_for] requires
+   the body to write only index-owned locations; under that contract
+   the output is bit-identical to the sequential loop.
 
    Scheduling: one job at a time, described by a single [run] closure
    over a chunk index plus an atomic cursor.  Participating domains
@@ -59,7 +58,7 @@ let slot_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 let slot () = Domain.DLS.get slot_key
 
 (* True on a domain currently executing a pool task: callers that
-   would otherwise do setup work for a parallel path (operand packing,
+   would otherwise do setup work for a parallel path (pool lookup,
    arena grabs) can skip straight to their sequential kernel. *)
 let in_parallel () = Domain.DLS.get in_task
 
@@ -208,7 +207,7 @@ let parallel_for ?chunk pool ~n f =
     let c =
       match chunk with
       | Some c -> Stdlib.max 1 c
-      | None -> Tune.chunk ~size:pool.size ~n ()
+      | None -> Tune.chunk ~size:pool.size ~n
     in
     let n_chunks = (n + c - 1) / c in
     exec_chunks pool ~n_chunks (fun ci ->
@@ -223,12 +222,6 @@ let map ?chunk pool ~n f =
   let slots = Array.make n None in
   parallel_for ?chunk pool ~n (fun i -> slots.(i) <- Some (f i));
   Array.map (function Some x -> x | None -> assert false) slots
-
-let map_reduce ?chunk pool ~n ~map:map_f ~init ~reduce =
-  (* Mapped in parallel, reduced sequentially in index order: the
-     result is bit-identical to the sequential fold for any pool size
-     and chunking, even for non-associative float reductions. *)
-  Array.fold_left reduce init (map ?chunk pool ~n map_f)
 
 let map_array ?chunk pool f xs =
   map ?chunk pool ~n:(Array.length xs) (fun i -> f xs.(i))

@@ -3,11 +3,11 @@
     {b Determinism contract.}  Every parallel entry point is
     chunk-order- and domain-count-invariant:
 
-    - {!map} and {!map_reduce} store per-index results in a
-      pre-allocated slot array and reduce them sequentially in index
-      order, so for any pool size and any chunking the result is
-      bit-identical to the sequential fold — even for non-associative
-      float reductions.
+    - {!map} stores per-index results in a pre-allocated slot array,
+      so for any pool size and any chunking the result is bit-identical
+      to [Array.init]; a caller folds it sequentially in index order,
+      which keeps even non-associative float reductions
+      domain-count-invariant.
     - {!parallel_for} requires the body to write only index-owned
       locations; under that contract the output is bit-identical to the
       sequential loop.
@@ -18,7 +18,7 @@
     contention, no per-chunk condvar traffic.  Workers park on a
     mutex/condvar gate between jobs; the submitter bumps an epoch and
     broadcasts once per job.  Chunk sizes default to {!Tune.chunk}
-    (an auto-calibrated heuristic).
+    (~8 chunks per domain).
 
     Pool size comes from the [CBMF_DOMAINS] environment variable when
     set, otherwise [Domain.recommended_domain_count ()].  A pool of
@@ -67,8 +67,8 @@ val slot : unit -> int
 val in_parallel : unit -> bool
 (** True on a domain currently executing a pool task.  Parallel entry
     points already fall back to sequential when nested; this lets
-    callers skip the setup work of a parallel path (operand packing,
-    arena grabs) before even submitting.  The underlying [in_task] flag
+    callers skip the setup work of a parallel path (pool lookup, arena
+    grabs) before even submitting.  The underlying [in_task] flag
     is per domain, not per systhread: while one systhread's job is in
     flight, a sibling systhread of the same domain also reads [true],
     and its own parallel calls run sequentially on its thread. *)
@@ -82,18 +82,6 @@ val map : ?chunk:int -> t -> n:int -> (int -> 'a) -> 'a array
 (** [map pool ~n f] is [[| f 0; …; f (n-1) |]], computed in parallel. *)
 
 val map_array : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-
-val map_reduce :
-  ?chunk:int ->
-  t ->
-  n:int ->
-  map:(int -> 'a) ->
-  init:'b ->
-  reduce:('b -> 'a -> 'b) ->
-  'b
-(** Mapped in parallel, reduced sequentially in index order — the
-    result is bit-identical to the sequential fold for any pool size
-    and chunking. *)
 
 (** {1 Shared default pool} *)
 

@@ -140,19 +140,24 @@ let start ?(config = Server.default_config) ?max_bytes ~shards ~base_path () =
   let paths = Array.init shards (shard_path ~base_path) in
   let addrs = Array.map (fun p -> Unix.ADDR_UNIX p) paths in
   let pids =
-    Array.map
-      (fun addr ->
+    Array.mapi
+      (fun i addr ->
         match Unix.fork () with
-        | 0 ->
+        | 0 -> (
             (* Child: serve this shard until a Shutdown request lands.
                [_exit] skips at_exit / buffer flushing inherited from
-               the parent — those belong to the parent's state. *)
-            (try
-               let registry = Registry.create ?max_bytes () in
-               let srv = Server.start ~config ~registry addr in
-               Server.wait srv
-             with _ -> ());
-            Unix._exit 0
+               the parent — those belong to the parent's state.  A
+               failure (say, the bind) goes to stderr and exit status 1,
+               which {!wait_ready} reports. *)
+            match
+              let registry = Registry.create ?max_bytes () in
+              Server.wait (Server.start ~config ~registry addr)
+            with
+            | () -> Unix._exit 0
+            | exception e ->
+                prerr_endline
+                  (Printf.sprintf "shard %d: %s" i (Printexc.to_string e));
+                Unix._exit 1)
         | pid -> pid)
       addrs
   in
@@ -163,12 +168,13 @@ let addrs c = c.c_addrs
 (* Block until every shard answers a ping (socket file present AND the
    server behind it is accepting).  Gives forked children time to
    bind: each probe is a fresh connect-ping-close, and a refused
-   connect counts as not ready yet.  Raises [Failure] past
-   [timeout]. *)
+   connect counts as not ready yet — unless the shard's child has
+   already exited, which no wait can mend.  Raises [Failure] then, or
+   past [timeout]. *)
 let wait_ready ?(timeout = 10.0) c =
   let cutoff = Unix.gettimeofday () +. timeout in
-  Array.iter
-    (fun addr ->
+  Array.iteri
+    (fun i addr ->
       while
         match Client.connect ~timeout:1.0 addr with
         | exception Unix.Unix_error _ -> true
@@ -177,8 +183,20 @@ let wait_ready ?(timeout = 10.0) c =
               ~finally:(fun () -> Client.close cl)
               (fun () -> Result.is_error (Client.ping cl))
       do
+        (match Unix.waitpid [ Unix.WNOHANG ] c.c_pids.(i) with
+        | 0, _ -> ()
+        | _, status ->
+            failwith
+              (Printf.sprintf "Shard.wait_ready: shard %d %s" i
+                 (match status with
+                 | Unix.WEXITED n -> Printf.sprintf "exited with status %d" n
+                 | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+                     Printf.sprintf "was killed by signal %d" n))
+        | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
+            failwith (Printf.sprintf "Shard.wait_ready: shard %d is gone" i));
         if Unix.gettimeofday () >= cutoff then
-          failwith "Shard.wait_ready: shard did not come up";
+          failwith
+            (Printf.sprintf "Shard.wait_ready: shard %d did not come up" i);
         Thread.delay 0.02
       done)
     c.c_addrs

@@ -79,14 +79,18 @@ val start :
     [ADDR_UNIX "<base_path>.shard-<i>"] over its own registry with a
     [max_bytes] budget (default: {!Registry.create}'s 256 MiB).
     Children are forked before they own any threads (the server's
-    threads are spawned fresh inside each child).  Call {!wait_ready}
-    before routing traffic. *)
+    threads are spawned fresh inside each child).  A child exits 0
+    after a shutdown, or 1 after printing the exception that stopped
+    its server.  Call {!wait_ready} before routing traffic. *)
 
 val addrs : cluster -> Unix.sockaddr array
 
 val wait_ready : ?timeout:float -> cluster -> unit
-(** Block until every shard answers a ping; raises [Failure] past
-    [timeout] (default 10 s). *)
+(** Block until every shard answers a ping.  Raises [Failure] naming
+    the shard as soon as its child has exited (with the exit status: a
+    child whose server failed to start prints the exception to stderr
+    and exits 1), or past [timeout] (default 10 s).  Call {!stop}
+    afterwards either way. *)
 
 val connect : ?timeout:float -> cluster -> router
 (** A router dialing this cluster's sockets ([timeout] per

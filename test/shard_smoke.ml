@@ -11,8 +11,8 @@
    generation without moving the model, and a graceful stop reaps
    every child and removes the socket files.  Then the failure path:
    a 1-shard cluster whose socket directory does not exist, so the
-   child's bind fails — [wait_ready] must raise [Failure] at its
-   timeout and [stop] must still reap the child.  Exits nonzero on
+   child's bind fails — [wait_ready] must raise [Failure] and [stop]
+   must still reap the child.  Exits nonzero on
    any failure.
 
    CBMF_DOMAINS=1 is load-bearing: the parent must not have spawned
@@ -236,8 +236,8 @@ let () =
 
   (* A shard that never comes up: its socket directory does not exist,
      so the child's bind fails and it exits.  [wait_ready] gives up
-     with [Failure] at its timeout, and [stop] still reaps the child,
-     the only one left. *)
+     with [Failure], and [stop] still reaps the child, the only one
+     left. *)
   let dead =
     Shard.start ~shards:1
       ~base_path:(Filename.concat (Filename.concat dir "missing") "dead.sock")

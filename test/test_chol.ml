@@ -302,19 +302,6 @@ let test_correlated_draws () =
   check_true "var 1" (abs_float (Stats.variance (col 1) -. 1.0) < 0.05);
   check_true "cov 01" (abs_float (Stats.covariance (col 0) (col 1) -. 0.8) < 0.05)
 
-let test_solve_lower_mat_inplace () =
-  let rng = Cbmf_prob.Rng.create 53 in
-  List.iter
-    (fun (n, nc) ->
-      let f = Chol.factorize (Seeded.random_spd rng n) in
-      let b = Seeded.random_mat rng n nc in
-      let x = Mat.copy b in
-      Chol.solve_lower_mat_inplace f x;
-      check_bits
-        (Printf.sprintf "in place = solve_lower_mat (%dx%d)" n nc)
-        (Chol.solve_lower_mat f b).Mat.data x.Mat.data)
-    [ (1, 1); (6, 3); (9, 33); (40, 5) ]
-
 let test_explicit_jitter () =
   let a = Seeded.random_spd (Cbmf_prob.Rng.create 59) 6 in
   let c = 0.125 in
@@ -483,8 +470,6 @@ let suite =
         prop_updatable_matches_oracle;
         case "mahalanobis_sq and the normal log density" test_mahalanobis;
         case "correlated draws: mean and covariance" test_correlated_draws;
-        case "solve_lower_mat_inplace = solve_lower_mat (bits)"
-          test_solve_lower_mat_inplace;
         case "explicit jitter = factor of a + c·I (bits)" test_explicit_jitter;
         case "blocked kernels = naive (bits), random n, 1/2/4 domains"
           test_kernels_random_n;

@@ -21,11 +21,15 @@ let test_matmul_assoc () =
     (Mat.matmul (Mat.matmul a b) c)
     (Mat.matmul a (Mat.matmul b c))
 
-let test_matmul_variants () =
+let test_matmul_nt () =
   let a = random_mat 4 3 and b = random_mat 5 3 in
-  mat_close "matmul_nt = a·bᵀ" (Mat.matmul a (Mat.transpose b)) (Mat.matmul_nt a b);
-  let c = random_mat 4 5 in
-  mat_close "matmul_tn = aᵀ·c" (Mat.matmul (Mat.transpose a) c) (Mat.matmul_tn a c)
+  mat_close "matmul_nt = a·bᵀ" (Mat.matmul a (Mat.transpose b)) (Mat.matmul_nt a b)
+
+(* [matmul_nt_weighted_into] into a fresh destination. *)
+let nt_weighted a w b =
+  let dst = Mat.create a.Mat.rows b.Mat.rows in
+  Mat.matmul_nt_weighted_into a w b ~dst;
+  dst
 
 let test_mat_vec () =
   let a = random_mat 4 3 in
@@ -125,30 +129,23 @@ let test_blocked_vs_naive () =
       let bt = random_mat n p in
       mat_close ~tol:1e-10
         (Printf.sprintf "matmul_nt blocked = naive (%dx%dx%d)" m p n)
-        (Mat.matmul_nt_naive a bt) (Mat.matmul_nt a bt);
-      let c = random_mat m n in
-      mat_close ~tol:1e-10
-        (Printf.sprintf "matmul_tn blocked = naive (%dx%dx%d)" m p n)
-        (Mat.matmul_naive (Mat.transpose a) c)
-        (Mat.matmul_tn a c))
+        (Mat.matmul_nt_naive a bt) (Mat.matmul_nt a bt))
     [ (1, 1, 1); (2, 3, 2); (3, 5, 7); (5, 4, 1); (8, 8, 8); (9, 13, 11);
       (1, 9, 6); (17, 66, 5) ]
 
-(* The packed-parallel GEMM paths must be bit-identical to the
-   sequential blocked kernels at any domain count — the shapes are
-   sized to clear the fan-out thresholds under any Tune calibration
-   (> 16M flops), so the panel kernels really run — and must still
-   agree with the naive oracles. *)
+(* The parallel GEMM paths must be bit-identical to the sequential
+   blocked kernels at any domain count — every product is ≥ 10⁷
+   multiply-adds, far past [Tune.gemm_fanout]'s 2¹⁸, so the panel
+   kernels really run — and must still agree with the naive oracles. *)
 let test_gemm_domain_bit_identity () =
   let module Pool = Cbmf_parallel.Pool in
   let a = random_mat 257 200 and b = random_mat 200 211 in
   let nt_b = random_mat 211 200 in
-  let tn_c = random_mat 257 211 in
   let s = random_mat 301 277 in
   let w = Array.init 200 (fun i -> 0.25 +. (0.125 *. float_of_int (i mod 8))) in
   let run () =
-    [ Mat.matmul a b; Mat.matmul_nt a nt_b; Mat.matmul_tn a tn_c;
-      Mat.syrk_tn s; Mat.syrk_nt s; Mat.matmul_nt_weighted a w nt_b ]
+    [ Mat.matmul a b; Mat.matmul_nt a nt_b; Mat.syrk_tn s; Mat.syrk_nt s;
+      nt_weighted a w nt_b ]
   in
   Pool.set_default_size 1;
   let seq = run () in
@@ -215,7 +212,9 @@ let test_syrk_nt_prefix_bits () =
 
 let test_syrk () =
   let a = random_mat 7 4 in
-  mat_close ~tol:1e-10 "syrk_tn = aᵀa" (Mat.matmul_tn a a) (Mat.syrk_tn a);
+  mat_close ~tol:1e-10 "syrk_tn = aᵀa"
+    (Mat.matmul (Mat.transpose a) a)
+    (Mat.syrk_tn a);
   mat_close ~tol:1e-10 "syrk_nt = aaᵀ" (Mat.matmul_nt a a) (Mat.syrk_nt a);
   check_true "syrk_tn symmetric" (Mat.is_symmetric (Mat.syrk_tn a));
   check_true "syrk_nt symmetric" (Mat.is_symmetric (Mat.syrk_nt a))
@@ -225,9 +224,9 @@ let test_matmul_nt_weighted () =
   let w = Array.init 6 (fun i -> 0.5 +. (0.25 *. float_of_int i)) in
   let scaled = Mat.init 5 6 (fun i j -> Mat.get a i j *. w.(j)) in
   mat_close ~tol:1e-10 "a·diag(w)·bᵀ" (Mat.matmul_nt scaled b)
-    (Mat.matmul_nt_weighted a w b);
+    (nt_weighted a w b);
   (* Same physical matrix on both sides: symmetric fast path. *)
-  let aw = Mat.matmul_nt_weighted a w a in
+  let aw = nt_weighted a w a in
   let scaled_a = Mat.init 5 6 (fun i j -> Mat.get a i j *. w.(j)) in
   mat_close ~tol:1e-10 "a·diag(w)·aᵀ" (Mat.matmul_nt scaled_a a) aw;
   check_true "weighted self symmetric" (Mat.is_symmetric aw)
@@ -235,9 +234,10 @@ let test_matmul_nt_weighted () =
 (* --- Allocation-free variants ---
 
    Each [_into] kernel must overwrite its whole destination (arena
-   scratch arrives holding stale values, here NaN) and agree with its
-   allocating form bit for bit.  Local generators keep the shared
-   stream of the suites above untouched. *)
+   scratch arrives holding stale values, here NaN) and agree bit for
+   bit with its allocating form, or with itself into a fresh zero
+   destination.  Local generators keep the shared stream of the suites
+   above untouched. *)
 
 let test_into_kernels () =
   let rng = Cbmf_prob.Rng.create 41 in
@@ -250,16 +250,13 @@ let test_into_kernels () =
       Mat.matmul_into a b ~dst;
       check_bits "matmul_into" (Mat.matmul a b).Mat.data dst.Mat.data;
       let dst = Mat.make m n Float.nan in
-      Mat.matmul_nt_into a bt ~dst;
-      check_bits "matmul_nt_into" (Mat.matmul_nt a bt).Mat.data dst.Mat.data;
-      let dst = Mat.make m n Float.nan in
       Mat.matmul_nt_weighted_into a w bt ~dst;
       check_bits "matmul_nt_weighted_into"
-        (Mat.matmul_nt_weighted a w bt).Mat.data dst.Mat.data;
+        (nt_weighted a w bt).Mat.data dst.Mat.data;
       let dst = Mat.make m m Float.nan in
       Mat.matmul_nt_weighted_into a w a ~dst;
       check_bits "matmul_nt_weighted_into (symmetric path)"
-        (Mat.matmul_nt_weighted a w a).Mat.data dst.Mat.data;
+        (nt_weighted a w a).Mat.data dst.Mat.data;
       let x = Seeded.random_vec rng m in
       let y = Array.make p Float.nan in
       Mat.mat_tvec_into a x y;
@@ -324,7 +321,7 @@ let suite =
       [ case "identity" test_identity;
         case "transpose" test_transpose;
         case "matmul associativity" test_matmul_assoc;
-        case "matmul_nt/tn" test_matmul_variants;
+        case "matmul_nt" test_matmul_nt;
         case "blocked kernels = naive" test_blocked_vs_naive;
         case "GEMM bit-identical across domain counts"
           test_gemm_domain_bit_identity;

@@ -1,9 +1,9 @@
-(* Oracle/property tests for the domain pool: map_reduce must be
-   bit-identical to the sequential fold at every pool size and for any
-   chunking, exceptions must propagate deterministically, and a pool
-   must survive reuse (including reuse after a failed job).  Also the
-   Monte-Carlo determinism regression: fixed seed ⇒ bit-identical data
-   at CBMF_DOMAINS = 1, 2 and 4, pinned by a golden hash. *)
+(* Oracle/property tests for the domain pool: map must be
+   bit-identical to Array.init at every pool size and for any chunking,
+   exceptions must propagate deterministically, and a pool must survive
+   reuse (including reuse after a failed job).  Also the Monte-Carlo
+   determinism regression: fixed seed ⇒ bit-identical data at
+   CBMF_DOMAINS = 1, 2 and 4, pinned by a golden hash. *)
 
 open Helpers
 module Pool = Cbmf_parallel.Pool
@@ -12,53 +12,42 @@ let with_pool n f =
   let pool = Pool.create n in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
-(* A deliberately non-associative, non-commutative float reduction:
-   any regrouping or reordering of the fold changes the low bits. *)
-let seq_fold xs =
-  Array.fold_left (fun acc x -> (acc *. 0.993) +. (x *. x *. 0.25)) 1.0 xs
-
 let gen_case =
   QCheck2.Gen.(
     triple (int_range 1 257) (int_range 1 64) (int_range 0 10_000))
 
-let prop_map_reduce_matches_fold (n, chunk, seed) =
+(* The per-index value a pool computes: a float of its own index, so a
+   slot written by the wrong index or left unwritten changes the bits. *)
+let sample_values seed n =
   let rng = Cbmf_prob.Rng.create seed in
   let xs = Array.init n (fun _ -> Cbmf_prob.Rng.gaussian rng) in
-  let expected = seq_fold xs in
+  fun i -> (xs.(i) *. xs.(i) *. 0.25) +. float_of_int i
+
+let map_bits_equal pool ~chunk ~n f =
+  let expected = Array.init n f and got = Pool.map ~chunk pool ~n f in
+  Array.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    expected got
+
+let prop_map_matches_init (n, chunk, seed) =
+  let f = sample_values seed n in
   List.for_all
-    (fun size ->
-      with_pool size (fun pool ->
-          let got =
-            Pool.map_reduce ~chunk pool ~n
-              ~map:(fun i -> xs.(i) *. xs.(i) *. 0.25)
-              ~init:1.0
-              ~reduce:(fun acc x -> (acc *. 0.993) +. x)
-          in
-          Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float expected)))
+    (fun size -> with_pool size (fun pool -> map_bits_equal pool ~chunk ~n f))
     [ 1; 2; 4; 8 ]
 
 (* Adversarial chunkings: a single chunk spanning everything, one item
    per chunk, and a ragged chunk that leaves a short tail — all must
-   reproduce the sequential fold bit-for-bit at every pool size. *)
+   reproduce Array.init bit-for-bit at every pool size. *)
 let prop_adversarial_chunks (n, _, seed) =
-  let rng = Cbmf_prob.Rng.create seed in
-  let xs = Array.init n (fun _ -> Cbmf_prob.Rng.gaussian rng) in
-  let expected = seq_fold xs in
+  let f = sample_values seed n in
   List.for_all
     (fun chunk ->
       List.for_all
-        (fun size ->
-          with_pool size (fun pool ->
-              let got =
-                Pool.map_reduce ~chunk pool ~n
-                  ~map:(fun i -> xs.(i) *. xs.(i) *. 0.25)
-                  ~init:1.0
-                  ~reduce:(fun acc x -> (acc *. 0.993) +. x)
-              in
-              Int64.equal (Int64.bits_of_float got)
-                (Int64.bits_of_float expected)))
-        [ 1; 4 ])
+        (fun size -> with_pool size (fun pool -> map_bits_equal pool ~chunk ~n f))
+        [ 1; 2; 4; 8 ])
     [ 1; n; n + 7 ]
+
+let sum xs = Array.fold_left ( + ) 0 xs
 
 let prop_parallel_for_covers (n, chunk, seed) =
   ignore seed;
@@ -91,22 +80,15 @@ let test_exception_propagation () =
               (* Lowest-index failure, regardless of schedule. *)
               check_int "first failing index" 5 i);
           (* The pool must stay usable after a failed job. *)
-          let s =
-            Pool.map_reduce pool ~n:10
-              ~map:(fun i -> i)
-              ~init:0 ~reduce:( + )
-          in
-          check_int "reuse after failure" 45 s))
+          check_int "reuse after failure" 45 (sum (Pool.map pool ~n:10 Fun.id))))
     [ 1; 2; 4 ]
 
 let test_pool_reuse () =
   with_pool 4 (fun pool ->
       for round = 1 to 20 do
-        let s =
-          Pool.map_reduce ~chunk:1 pool ~n:round ~map:Fun.id ~init:0
-            ~reduce:( + )
-        in
-        check_int "round sum" (round * (round - 1) / 2) s
+        check_int "round sum"
+          (round * (round - 1) / 2)
+          (sum (Pool.map ~chunk:1 pool ~n:round Fun.id))
       done)
 
 let test_nested_calls_fall_back () =
@@ -114,7 +96,7 @@ let test_nested_calls_fall_back () =
       let out =
         Pool.map ~chunk:1 pool ~n:8 (fun i ->
             (* Nested fan-out must run sequentially, not deadlock. *)
-            Pool.map_reduce pool ~n:(i + 1) ~map:Fun.id ~init:0 ~reduce:( + ))
+            sum (Pool.map pool ~n:(i + 1) Fun.id))
       in
       Array.iteri (fun i v -> check_int "nested sum" (i * (i + 1) / 2) v) out)
 
@@ -156,8 +138,7 @@ let test_shutdown_during_job () =
   check_true "every index ran exactly once"
     (Array.for_all (fun h -> h = 1) hits);
   (* A shut-down pool stays usable: the submitter drains everything. *)
-  let s = Pool.map_reduce pool ~n:10 ~map:Fun.id ~init:0 ~reduce:( + ) in
-  check_int "usable after shutdown" 45 s;
+  check_int "usable after shutdown" 45 (sum (Pool.map pool ~n:10 Fun.id));
   Pool.shutdown pool
 
 let test_double_and_concurrent_shutdown () =
@@ -174,8 +155,7 @@ let test_double_and_concurrent_shutdown () =
   Pool.shutdown pool2;
   List.iter
     (fun p ->
-      check_int "post-shutdown sum" 45
-        (Pool.map_reduce p ~n:10 ~map:Fun.id ~init:0 ~reduce:( + )))
+      check_int "post-shutdown sum" 45 (sum (Pool.map p ~n:10 Fun.id)))
     [ pool; pool2 ]
 
 (* The failure in the very last chunk — the one that wakes the
@@ -239,36 +219,30 @@ let test_tune_bounds () =
     (Tune.clamp_domains (Tune.max_domains + 1));
   let r = Tune.recommended_domains () in
   check_true "recommended in range" (r >= 1 && r <= Tune.max_domains);
-  check_true "sequential iff one domain" (Tune.sequential_recommended () = (r = 1));
-  check_true "never fan out to one domain"
-    (not (Tune.fanout_worthwhile ~size:1 ~work_ns:1e12));
-  check_int "one domain: the whole range is one chunk" 100
-    (Tune.chunk ~size:1 ~n:100 ());
   check_int "serving batch chunk" 64 Cbmf_serve.Engine.chunk_size
 
-let test_tune_chunk () =
+(* The two fixed scheduling rules: ~8 chunks per domain, and GEMM
+   fan-out from 2¹⁸ multiply-adds on a multi-domain pool. *)
+let test_tune_rules () =
   let module Tune = Cbmf_parallel.Tune in
-  check_int "empty range" 1 (Tune.chunk ~size:4 ~n:0 ());
-  check_int "single item" 1 (Tune.chunk ~size:4 ~n:1 ());
-  check_int "one domain ignores the cost hint" 1000
-    (Tune.chunk ~cost_hint_ns:1e6 ~size:1 ~n:1000 ());
-  (* Costly items: one item already dwarfs a claim, so the range splits
-     into 8 chunks per domain. *)
-  check_int "8 chunks per domain" 100 (Tune.chunk ~cost_hint_ns:1e9 ~size:2 ~n:1600 ());
-  check_int "never below one item" 1 (Tune.chunk ~cost_hint_ns:1e9 ~size:4 ~n:3 ());
-  (* Cheap items: a chunk's work must cover 50 claims (claim ≤ 2 %). *)
-  let { Tune.claim_ns; _ } = Tune.calibrated () in
-  check_true "claim cost clamped" (claim_ns >= 5.0 && claim_ns <= 2000.0);
+  check_int "8 chunks per domain" 100 (Tune.chunk ~size:2 ~n:1600);
+  check_int "never below one item" 1 (Tune.chunk ~size:4 ~n:3);
+  check_int "empty range" 1 (Tune.chunk ~size:4 ~n:0);
   List.iter
-    (fun (cost_hint_ns, n) ->
-      let c = Tune.chunk ~cost_hint_ns ~size:2 ~n () in
-      if float_of_int c *. cost_hint_ns < 50.0 *. claim_ns then
-        Alcotest.failf "chunk %d of %g ns items pays over 2%% in claims (%g ns each)"
-          c cost_hint_ns claim_ns)
-    [ (1.0, 16); (1.0, 100_000); (20.0, 64); (100.0, 10) ];
-  let sizes = List.map (fun n -> Tune.chunk ~size:2 ~n ()) [ 10; 1_000; 100_000 ] in
-  check_true "chunks grow with the range"
-    (List.sort compare sizes = sizes)
+    (fun n ->
+      check_int (Printf.sprintf "one domain: %d items in one chunk" n) n
+        (Tune.chunk ~size:1 ~n))
+    [ 1; 100; 1600; 100_000 ];
+  check_true "2 domains, 262,143 flops: sequential"
+    (not (Tune.gemm_fanout ~size:2 ~flops:262_143.0));
+  check_true "2 domains, 262,144 flops: fan out"
+    (Tune.gemm_fanout ~size:2 ~flops:262_144.0);
+  List.iter
+    (fun flops ->
+      check_true
+        (Printf.sprintf "one domain never fans out (%g flops)" flops)
+        (not (Tune.gemm_fanout ~size:1 ~flops)))
+    [ 0.0; 262_144.0; 1e12; Float.infinity ]
 
 let test_arena () =
   let module Arena = Cbmf_parallel.Arena in
@@ -289,9 +263,9 @@ let test_arena () =
 
 let suite =
   [ ( "parallel.pool",
-      [ qcase ~count:60 "map_reduce = sequential fold (1/2/4/8 domains)"
-          gen_case prop_map_reduce_matches_fold;
-        qcase ~count:20 "adversarial chunkings (1, n, n+7) = sequential fold"
+      [ qcase ~count:60 "map = Array.init, bitwise (1/2/4/8 domains)"
+          gen_case prop_map_matches_init;
+        qcase ~count:20 "adversarial chunkings (1, n, n+7) = Array.init"
           gen_case prop_adversarial_chunks;
         qcase ~count:40 "parallel_for covers each index once" gen_case
           prop_parallel_for_covers;
@@ -304,7 +278,7 @@ let suite =
         case "size-1 pool is strictly sequential" test_size_one_sequential;
         case "env override parsing" test_env_parsing;
         case "tune: domain clamp and chunk sizes" test_tune_bounds;
-        case "tune: chunk heuristic" test_tune_chunk;
+        case "tune: fixed chunk and GEMM fan-out rules" test_tune_rules;
         case "arena: exact lengths, reuse, zeroing" test_arena ] );
     ( "parallel.shutdown",
       [ case "shutdown during in-flight job" test_shutdown_during_job;

@@ -198,29 +198,6 @@ let test_log_likelihood () =
   let ll mu = Gaussian.log_likelihood ~mu ~sigma:1.5 xs in
   check_true "peak at the mean" (ll m > ll (m +. 0.05) && ll m > ll (m -. 0.05))
 
-(* --- Lhs --- *)
-
-let test_lhs_stratified () =
-  let r = Rng.create 23 in
-  let m = Lhs.uniform r ~n:16 ~dim:3 in
-  (* Each column must hit every stratum exactly once. *)
-  for j = 0 to 2 do
-    let seen = Array.make 16 false in
-    for i = 0 to 15 do
-      let s = int_of_float (Cbmf_linalg.Mat.get m i j *. 16.0) in
-      check_true "stratum bounds" (s >= 0 && s < 16);
-      check_true "stratum unique" (not seen.(s));
-      seen.(s) <- true
-    done
-  done
-
-let test_lhs_gaussian_moments () =
-  let r = Rng.create 29 in
-  let m = Lhs.gaussian r ~n:2000 ~dim:2 in
-  let col = Cbmf_linalg.Mat.col m 0 in
-  check_true "lhs mean" (abs_float (Stats.mean col) < 0.05);
-  check_true "lhs var" (abs_float (Stats.variance col -. 1.0) < 0.05)
-
 (* --- Stats --- *)
 
 let test_stats_basics () =
@@ -288,9 +265,6 @@ let suite =
         case "erfc tails" test_erfc;
         case "quantile_mu_sigma inverts cdf" test_quantile_mu_sigma;
         case "log_likelihood" test_log_likelihood ] );
-    ( "prob.lhs",
-      [ case "stratification" test_lhs_stratified;
-        case "gaussian moments" test_lhs_gaussian_moments ] );
     ( "prob.stats",
       [ case "basics" test_stats_basics;
         case "quantile interpolation" test_quantile_interp;

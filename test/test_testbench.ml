@@ -225,15 +225,6 @@ let test_montecarlo_truncate () =
     (Mat.get mc.Montecarlo.states.(7).Montecarlo.ys 1 0)
     (Mat.get cut.Montecarlo.states.(7).Montecarlo.ys 1 0)
 
-let test_montecarlo_shared () =
-  let tb = Lazy.force lna in
-  let rng = Cbmf_prob.Rng.create 3 in
-  let mc = Montecarlo.generate ~shared_samples:true tb rng ~n_per_state:2 in
-  let open Cbmf_linalg in
-  check_float "same x across states"
-    (Mat.get mc.Montecarlo.states.(0).Montecarlo.xs 0 17)
-    (Mat.get mc.Montecarlo.states.(9).Montecarlo.xs 0 17)
-
 let mc_hash (mc : Montecarlo.t) =
   let xs = Array.map (fun s -> s.Montecarlo.xs) mc.Montecarlo.states in
   let ys = Array.map (fun s -> s.Montecarlo.ys) mc.Montecarlo.states in
@@ -291,39 +282,6 @@ let test_montecarlo_fresh_and_replayable () =
     (Mat.get first.Montecarlo.states.(0).Montecarlo.xs 0 17
     <> Mat.get first.Montecarlo.states.(9).Montecarlo.xs 0 17)
 
-let test_montecarlo_lhs () =
-  (* Latin hypercube: within each state, every variable puts exactly one
-     of the n samples in each of the n equal-probability strata.  The
-     slack covers the quantile/cdf round trip (accurate to ~1e-5). *)
-  let tb = Lazy.force lna in
-  let n = 4 in
-  let gen ?lhs () =
-    Montecarlo.generate ?lhs tb (Cbmf_prob.Rng.create 8) ~n_per_state:n
-  in
-  let mc = gen ~lhs:true () in
-  check_true "stratified draw replays"
-    (Int64.equal (mc_hash mc) (mc_hash (gen ~lhs:true ())));
-  check_true "stratified draw differs from the plain one"
-    (not (Int64.equal (mc_hash mc) (mc_hash (gen ()))));
-  let open Cbmf_linalg in
-  let slack = 1e-4 in
-  List.iter
-    (fun s ->
-      let xs = mc.Montecarlo.states.(s).Montecarlo.xs in
-      for j = 0 to Testbench.dim tb - 1 do
-        let u = Array.init n (fun i -> Cbmf_prob.Gaussian.cdf (Mat.get xs i j)) in
-        Array.sort Float.compare u;
-        Array.iteri
-          (fun i p ->
-            let lo = float_of_int i /. float_of_int n in
-            let hi = float_of_int (i + 1) /. float_of_int n in
-            if p < lo -. slack || p > hi +. slack then
-              Alcotest.failf "state %d variable %d: sample %d at p = %g, not in [%g, %g]"
-                s j i p lo hi)
-          u
-      done)
-    [ 0; 13; 31 ]
-
 let suite =
   [ ( "circuit.lna",
       [ case "dimensions" test_lna_dimensions;
@@ -348,11 +306,9 @@ let suite =
       [ case "cost model" test_cost_model;
         case "shapes" test_montecarlo_shapes;
         case "truncate prefix" test_montecarlo_truncate;
-        case "shared samples" test_montecarlo_shared;
         case "rows = testbench evaluate, bitwise"
           test_montecarlo_rows_are_evaluations;
         case "clean run: no drops, cost model, validation"
           test_montecarlo_clean_run;
         case "fresh per call, replayable per seed"
-          test_montecarlo_fresh_and_replayable;
-        case "lhs: one sample per stratum" test_montecarlo_lhs ] ) ]
+          test_montecarlo_fresh_and_replayable ] ) ]
